@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .formal import Monomial, Polynomial, ONE, S, X, Y, ZERO
-from .hopf import CoproductMode, coproduct_monomial
+from .hopf import CoproductMode, _check_size, coproduct_monomial
 from .matroid import BadElement, Matroid, uniform
 
 
@@ -195,6 +195,7 @@ def alpha_four_factor_functional() -> LinearFunctional:
 
 def alpha(matroid: Matroid) -> Polynomial:
     """The character value at a matroid class; equals s^|E| P_M(x, y)."""
+    _check_size(matroid)
     return alpha_functional()(Monomial.from_matroid(matroid))
 
 
@@ -208,6 +209,7 @@ def alpha_four_factor(matroid: Matroid) -> Polynomial:
 
 def poly_P(matroid: Matroid) -> Polynomial:
     """Subset sum of (x-1)^(c(E)-c(A)) (y-1)^(l(A)) over all subsets A."""
+    _check_size(matroid)
     c_total, _ = matroid.element_counts()
     out = ZERO
     xm1 = X - ONE

@@ -72,9 +72,35 @@ def load_matroid_file(path: str) -> Matroid:
         raise InputError(f"cannot read matroid file {path}: {err}") from err
     if not isinstance(record, dict) or "n" not in record or "independent" not in record:
         raise InputError(f"{path}: expected an object with keys 'n' and 'independent'")
+    n, sets = record["n"], record["independent"]
+    if not _is_int(n) or n < 0:
+        raise InputError(f"{path}: 'n' must be a nonnegative integer, got {n!r}")
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        raise InputError(f"{path}: 'independent' must be a list of element lists")
+    for s in sets:
+        for e in s:
+            if not _is_int(e) or not 0 <= e < n:
+                raise InputError(
+                    f"{path}: element {e!r} is not an integer in [0, {n})"
+                )
     from .matroid import validate
 
-    return validate(record["n"], [mask_of(s) for s in record["independent"]])
+    return validate(n, [mask_of(s) for s in sets])
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _matroid_from_args(args) -> Matroid:
@@ -133,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every identity suite")
     p.add_argument("--all", action="store_true", help="run all suites (default)")
-    p.add_argument("--max-n", type=int, default=MAX_CATALOG_N)
+    p.add_argument("--max-n", type=_nonnegative_int, default=MAX_CATALOG_N)
     p.add_argument("--json", action="store_true")
     p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("enumerate", help="write catalog cache files")
-    p.add_argument("--max-n", type=int, default=MAX_CATALOG_N)
+    p.add_argument("--max-n", type=_nonnegative_int, default=MAX_CATALOG_N)
     p.add_argument("--json", action="store_true")
     p.add_argument("--cache-dir", default=None)
 

@@ -1,4 +1,5 @@
-from itertools import permutations
+import hashlib
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,81 @@ def test_matches_independent_orbit_oracle(catalog_reps):
         key = canonical_key(m)
         assert seen.setdefault(code, key) == key
 
+
+
+K4_EDGES = list(combinations(range(4), 2))
+K5_EDGES = list(combinations(range(5), 2))
+
+# Each input makes a different pruning rule of the search fire.
+ORACLE_INPUTS = {
+    # parallel class {0, 6} and a loop
+    "K4 + parallel edge + self-loop": graphic(4, K4_EDGES + [(0, 1), (2, 2)]),
+    # the parallel pair becomes a series class in the dual
+    "M*(K4 + parallel edge)": graphic(4, K4_EDGES + [(0, 1)]).dual(),
+    # no two elements are twins, so only the sibling minimum prunes
+    "K5 - star at 0": graphic(
+        5, [e for e in K5_EDGES if e not in ((0, 1), (0, 2), (0, 3))]
+    ),
+    # loop and coloop classes interleaved with a circuit
+    "coloops and loops": uniform(1, 1)
+    .direct_sum(uniform(0, 1))
+    .direct_sum(uniform(2, 3))
+    .direct_sum(uniform(1, 1))
+    .direct_sum(uniform(0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_pruned_search_matches_oracle_beyond_catalog(name):
+    m = ORACLE_INPUTS[name]
+    assert 6 <= m.n <= 8
+    expected = all_permutation_key(m)
+    assert canonical_key(m).family == expected
+    perm = [(5 * e + 2) % m.n for e in range(m.n)]  # 5 is prime to n = 6, 7, 8
+    assert sorted(perm) == list(range(m.n))
+    assert canonical_key(m.relabel(perm)).family == expected
+
+
+def _family_digest(key) -> str:
+    return hashlib.sha256(",".join(map(str, key.family)).encode()).hexdigest()
+
+
+# (input, rank, SHA-256 of the comma-joined canonical family).  At n >= 9
+# all_permutation_key is too slow to serve as the gate, so these pin the keys.
+GOLDEN_KEYS = {
+    "M(K5)": (
+        graphic(5, K5_EDGES),
+        4,
+        "1bce19f60942ae55b9465dc0717b0e41e478c4fb8b73b0ed1c410db7ff39f9ca",
+    ),
+    "M(K5) - e": (
+        graphic(5, K5_EDGES[:-1]),
+        4,
+        "5c78d01c1c1b2965e0e88e288857209f0ef19ce39067b7d72855dcb542a1279b",
+    ),
+    "M(K5) - two disjoint edges": (
+        graphic(5, [e for e in K5_EDGES if e not in ((0, 1), (2, 3))]),
+        4,
+        "a3a980b36f792efaf6a5d40cd1a46eec6a9571abb8976077fb90752ccb38bb6d",
+    ),
+    "M*(K5 - e)": (
+        graphic(5, K5_EDGES[:-1]).dual(),
+        5,
+        "d5afb558a9bacdf193926f96f1e8326def4ddcd23a222f99d8ca92908a557372",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+def test_golden_keys_beyond_oracle_reach(name):
+    m, rank, digest = GOLDEN_KEYS[name]
+    # e -> 7e + 3 mod n is a bijection since 7 is prime to n = 8, 9, 10
+    perm = [(7 * e + 3) % m.n for e in range(m.n)]
+    assert sorted(perm) == list(range(m.n))
+    for candidate in (m, m.relabel(perm)):
+        key = canonical_key(candidate)
+        assert key.rank == rank
+        assert _family_digest(key) == digest
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())

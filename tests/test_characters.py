@@ -1,6 +1,7 @@
 import pytest
 
 from matroid_hopf import (
+    GroundSetTooLarge,
     Monomial,
     NotInfinitesimal,
     Polynomial,
@@ -132,6 +133,12 @@ class TestPolyP:
 
     def test_empty(self):
         assert poly_P(uniform(0, 0)) == ONE
+
+    def test_size_limit(self):
+        # checked before any subset walk, or circuits() for alpha
+        for f in (poly_P, alpha):
+            with pytest.raises(GroundSetTooLarge):
+                f(uniform(0, 40))
 
     def test_closed_form(self, catalog_reps):
         for m in catalog_reps:

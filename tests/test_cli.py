@@ -115,6 +115,47 @@ class TestErrors:
         code, _, err = run(capsys, "poly", "--input", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "record, needle",
+        [
+            ({"n": 3, "independent": [[], [0], [5]]}, "element 5"),
+            ({"n": "3", "independent": [[]]}, "'n'"),
+            ({"n": -1, "independent": [[]]}, "'n'"),
+            ({"n": True, "independent": [[]]}, "'n'"),
+            ({"n": 3, "independent": [[], [0.5]]}, "element 0.5"),
+            ({"n": 3, "independent": [[], ["a"]]}, "element 'a'"),
+            ({"n": 3, "independent": [[], 0]}, "'independent'"),
+        ],
+    )
+    def test_malformed_input_file(self, capsys, tmp_path, record, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run(capsys, "show", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize("command", ["poly", "alpha"])
+    def test_ground_set_guard(self, capsys, tmp_path, command):
+        # 40 loops: without the guard this walks 2^40 subsets
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 40, "independent": [[]]}))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "40" in err
+
+    @pytest.mark.parametrize("command", ["verify", "enumerate"])
+    def test_negative_max_n(self, capsys, tmp_path, command):
+        code, out, err = run(
+            capsys, command, "--max-n", "-1", "--cache-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-n" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerifyAndEnumerate:
     def test_verify_small_is_clean(self, capsys, tmp_path):
