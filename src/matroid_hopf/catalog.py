@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -112,7 +113,14 @@ def save_cache(catalog: Catalog, cache_dir: Path | None = None) -> Path:
     lines.extend(
         json.dumps(key.matroid().to_dict()) for key in catalog.classes
     )
-    path.write_text("\n".join(lines) + "\n")
+    # Write a temp file and rename it over the cache: a failed write keeps the old one.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return path
 
 

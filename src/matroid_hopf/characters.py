@@ -9,7 +9,7 @@ subset-sum polynomial invariant up to a power of s.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 
 from .formal import Monomial, Polynomial, ONE, S, X, Y, ZERO
@@ -141,7 +141,7 @@ def conv_exp(f: LinearFunctional) -> LinearFunctional:
         for k in range(degree + 1):
             if k:
                 factorial *= k
-            out = out + powers[k](m) / Fraction(factorial)
+            out = out + powers[k](m) / factorial
         if f.integer_valued and not out.has_integer_coefficients():
             raise AssertionError(
                 f"exponential of {f.name or 'functional'} failed to clear "
@@ -208,15 +208,24 @@ def alpha_four_factor(matroid: Matroid) -> Polynomial:
 
 
 def poly_P(matroid: Matroid) -> Polynomial:
-    """Subset sum of (x-1)^(c(E)-c(A)) (y-1)^(l(A)) over all subsets A."""
+    """Subset sum of (x-1)^(c(E)-c(A)) (y-1)^(l(A)) over all subsets A.
+
+    The walk visits every subset but groups them by (c(A), l(A)), so the
+    polynomial arithmetic is done once per distinct pair.
+    """
     _check_size(matroid)
-    c_total, _ = matroid.element_counts()
-    out = ZERO
+    loops = matroid.loops()
+    nonloops = matroid.full_mask & ~loops
+    pairs = Counter(
+        ((a & nonloops).bit_count(), (a & loops).bit_count())
+        for a in range(1 << matroid.n)
+    )
+    c_total = nonloops.bit_count()
     xm1 = X - ONE
     ym1 = Y - ONE
-    for a in range(1 << matroid.n):
-        c_a, l_a = matroid.element_counts(a)
-        out = out + xm1 ** (c_total - c_a) * ym1**l_a
+    out = ZERO
+    for (c_a, l_a), k in pairs.items():
+        out = out + k * xm1 ** (c_total - c_a) * ym1**l_a
     return out
 
 

@@ -1,6 +1,7 @@
 """Exact algebra substrate.
 
-Polynomials are sparse maps from (x,y,s) exponent triples to rationals.
+Polynomials are sparse maps from (x,y,s) exponent triples to rationals,
+each an ``int`` when integral and a ``Fraction`` only otherwise.
 Module elements are integer-linear combinations of monomials, a monomial
 being a multiset of isomorphism-class keys multiplied via direct sum.
 Monomials are kept in a normal form where every factor is a connected
@@ -34,24 +35,27 @@ class Polynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int, int], Fraction] | None = None):
+    def __init__(self, terms: dict[tuple[int, int, int], int | Fraction] | None = None):
         clean = {}
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[exps] = c
         self.terms = clean
 
     @classmethod
     def constant(cls, c) -> Polynomial:
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
         i = _VARS.index(name)
         exps = tuple(1 if j == i else 0 for j in range(3))
-        return cls({exps: Fraction(1)})
+        return cls({exps: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -71,7 +75,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
+            out[exps] = out.get(exps, 0) + c
         return Polynomial(out)
 
     __radd__ = __add__
@@ -92,11 +96,11 @@ class Polynomial:
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, int, int], Fraction] = {}
+        out: dict[tuple[int, int, int], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -120,7 +124,7 @@ class Polynomial:
     def eval(self, x=None, y=None, s=None) -> Polynomial:
         """Substitute rationals for any subset of the variables; exact."""
         values = (x, y, s)
-        out: dict[tuple[int, int, int], Fraction] = {}
+        out: dict[tuple[int, int, int], int | Fraction] = {}
         for exps, c in self.terms.items():
             new = list(exps)
             for i, v in enumerate(values):
@@ -128,18 +132,16 @@ class Polynomial:
                     c = c * Fraction(v) ** exps[i]
                     new[i] = 0
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return Polynomial(out)
 
-    def coefficient(self, exps: tuple[int, int, int]) -> Fraction:
-        return self.terms.get(exps, Fraction(0))
+    def coefficient(self, exps: tuple[int, int, int]) -> int | Fraction:
+        return self.terms.get(exps, 0)
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for exps in sorted(self.terms, reverse=True):
             c = self.terms[exps]
@@ -157,17 +159,24 @@ class Polynomial:
             else:
                 body = "*".join([str(mag)] + factors)
             parts.append((c < 0, body))
-        neg, body = parts[0]
-        text = ("-" if neg else "") + body
-        for neg, body in parts[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return _signed_sum(parts)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def _signed_sum(parts) -> str:
+    """Join (negative, body) terms as "-a + b - c"; "0" when there are none."""
+    text = ""
+    for neg, body in parts:
+        if text:
+            text += (" - " if neg else " + ") + body
+        else:
+            text = ("-" if neg else "") + body
+    return text or "0"
 
 
 def _promote(value):
@@ -332,14 +341,9 @@ class ModuleElement:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [(c < 0, f"{abs(c)}*{m.render()}") for m, c in self.sorted_terms()]
-        neg, body = parts[0]
-        text = ("-" if neg else "") + body
-        for neg, body in parts[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return _signed_sum(
+            (c < 0, f"{abs(c)}*{m.render()}") for m, c in self.sorted_terms()
+        )
 
     def __str__(self) -> str:
         return self.render()
@@ -445,19 +449,13 @@ class TensorElement:
         )
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for legs, c in self.sorted_terms():
             body = "⊗".join(m.render() for m in legs)
             if abs(c) != 1:
                 body = f"{abs(c)}*{body}"
             parts.append((c < 0, body))
-        neg, body = parts[0]
-        text = ("-" if neg else "") + body
-        for neg, body in parts[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return _signed_sum(parts)
 
     def __str__(self) -> str:
         return self.render()

@@ -6,6 +6,7 @@ are taken over all permutations directly.
 """
 
 from itertools import permutations
+from math import comb
 
 
 def family_is_matroid(masks, n):
@@ -73,3 +74,24 @@ def unpruned_counts(n):
         labeled += 1
         reps.add(orbit_code(masks, n))
     return labeled, len(reps)
+
+
+def poly_P_terms(masks, n):
+    """P_M as {(i, j): coefficient of x^i y^j}, by the plain subset sum.
+
+    A loop is an element whose singleton is not in the independent family.
+    Each subset A adds (x-1)^(c(E)-c(A)) (y-1)^l(A), with c and l counting
+    the non-loops and loops of A, expanded binomially term by term.
+    """
+    fam = set(masks)
+    loops = [e for e in range(n) if (1 << e) not in fam]
+    c_total = n - len(loops)
+    out = {}
+    for a in range(1 << n):
+        l_a = sum(1 for e in loops if a >> e & 1)
+        p = c_total - (bin(a).count("1") - l_a)
+        for i in range(p + 1):
+            for j in range(l_a + 1):
+                term = comb(p, i) * comb(l_a, j) * (-1) ** (p - i + l_a - j)
+                out[i, j] = out.get((i, j), 0) + term
+    return {exps: c for exps, c in out.items() if c}

@@ -1,4 +1,13 @@
+import errno
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import matroid_hopf
 
 from matroid_hopf import (
     Catalog,
@@ -90,6 +99,34 @@ class TestCache:
 
     def test_cached_catalog_falls_back_to_enumeration(self, tmp_path, catalogs):
         assert cached_catalog(3, tmp_path) == catalogs[3]
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path, catalogs):
+        path = save_cache(catalogs[4], tmp_path)
+        # A child process rewrites the cache under a 64-byte file-size limit,
+        # so its write fails with EFBIG partway through the records.
+        script = textwrap.dedent(
+            """
+            import resource, signal, sys
+            from pathlib import Path
+            from matroid_hopf import enumerate_matroids, save_cache
+
+            catalog = enumerate_matroids(4)
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (64, resource.RLIM_INFINITY))
+            save_cache(catalog, Path(sys.argv[1]))
+            """
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
+        )
+        assert child.returncode != 0
+        assert f"[Errno {errno.EFBIG}]" in child.stderr
+        assert load_cache(4, tmp_path) == catalogs[4]
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_env_var_overrides_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "elsewhere"))

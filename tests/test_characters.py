@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from matroid_hopf import (
@@ -12,6 +14,7 @@ from matroid_hopf import (
     convolve,
     delta_coloop,
     delta_loop,
+    graphic,
     linear_combination,
     poly_P,
     poly_P_closed_form,
@@ -22,6 +25,8 @@ from matroid_hopf import (
 from matroid_hopf.characters import alpha_of_monomial
 from matroid_hopf.formal import ONE, S, X, Y, ZERO
 from matroid_hopf.matroid import BadElement
+
+from oracles import poly_P_terms
 
 
 def mono(*matroids):
@@ -149,6 +154,19 @@ class TestPolyP:
         for m1 in small:
             for m2 in small:
                 assert poly_P(m1.direct_sum(m2)) == poly_P(m1) * poly_P(m2)
+
+    def test_matches_subset_sum_oracle(self, catalog_reps):
+        cases = list(catalog_reps)
+        cases += [
+            m1.direct_sum(m2)
+            for m1, m2 in product(catalog_reps, repeat=2)
+            if m1.n + m2.n <= 6
+        ]
+        # M(K4) plus a self-loop and an edge parallel to (0, 1): n = 8
+        cases.append(graphic(4, list(combinations(range(4), 2)) + [(0, 1), (2, 2)]))
+        for m in cases:
+            want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
+            assert poly_P(m).terms == want
 
 
 class TestConvolutionIdentity:

@@ -10,6 +10,9 @@ from matroid_hopf import (
     Polynomial,
     TensorElement,
     canonical_key,
+    conv_exp,
+    delta_coloop,
+    linear_combination,
     module_product,
     poly_eval,
     tensor_swap,
@@ -65,6 +68,12 @@ small_polys = st.dictionaries(
 ).map(Polynomial)
 
 
+def stored_as_int_iff_integral(p):
+    return all(
+        (type(c) is int) == (Fraction(c).denominator == 1) for c in p.terms.values()
+    )
+
+
 @given(small_polys, small_polys, small_polys)
 def test_polynomial_ring_axioms(p, q, r):
     assert p + q == q + p
@@ -74,6 +83,8 @@ def test_polynomial_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + ZERO == p
     assert p * ONE == p
+    for value in (p, p + q, p - q, p * q, -p, p / 3, p**2):
+        assert stored_as_int_iff_integral(value)
 
 
 @given(
@@ -85,6 +96,46 @@ def test_polynomial_ring_axioms(p, q, r):
 def test_evaluation_is_a_ring_map(p, q, a, b):
     assert (p * q).eval(x=a, y=b) == p.eval(x=a, y=b) * q.eval(x=a, y=b)
     assert (p + q).eval(x=a, y=b) == p.eval(x=a, y=b) + q.eval(x=a, y=b)
+    assert stored_as_int_iff_integral(p.eval(x=a, y=b))
+
+
+class TestCoefficientTypes:
+    def test_integral_values_are_ints(self):
+        exp_two_coloops = conv_exp(linear_combination([(S, delta_coloop())]))(
+            mono(uniform(1, 1), uniform(1, 1))
+        )
+        assert exp_two_coloops == S**2
+        for p in (
+            Polynomial({(1, 0, 0): Fraction(4, 2)}),
+            (X / 2) * 2,
+            X / 2 + X / 2,
+            Polynomial.constant(Fraction(-6, 3)),
+            exp_two_coloops,
+        ):
+            assert {type(c) for c in p.terms.values()} == {int}
+
+    def test_non_integral_values_stay_fractions(self):
+        half = (X / 2).terms[(1, 0, 0)]
+        assert type(half) is Fraction and half == Fraction(1, 2)
+        assert type((X * Fraction(2, 3) + Y).terms[(1, 0, 0)]) is Fraction
+
+    def test_int_and_fraction_inputs_agree(self):
+        ints = Polynomial({(2, 0, 0): 3, (0, 1, 0): -1, (0, 0, 0): 1})
+        fracs = Polynomial(
+            {(2, 0, 0): Fraction(3), (0, 1, 0): Fraction(-2, 2), (0, 0, 0): Fraction(1)}
+        )
+        assert ints == fracs
+        assert hash(ints) == hash(fracs)
+        assert ints.render() == fracs.render() == "3*x^2 - y + 1"
+        assert ints == 3 * X**2 - Y + Fraction(1)
+
+    def test_coefficient_and_integrality_probe(self):
+        assert X.coefficient((1, 0, 0)) == 1
+        assert X.coefficient((0, 1, 0)) == 0
+        assert (X / 2).coefficient((1, 0, 0)) == Fraction(1, 2)
+        assert ZERO.has_integer_coefficients()
+        assert ((X / 2) * 2).has_integer_coefficients()
+        assert not (X / 2 + Y).has_integer_coefficients()
 
 
 class TestMonomial:
