@@ -5,82 +5,24 @@ Enumerates every family of subsets of {0,...,n-1} (all 2^(2^n) of them),
 keeps the ones that satisfy the independence axioms by direct testing, and
 deduplicates by orbit under all n! relabelings.  Deliberately brute force:
 the numbers printed here are frozen as golden values for the fast catalog
-enumeration.
+enumeration.  The counting itself is ``unpruned_counts`` in
+``tests/oracles.py``, the oracle the test suite uses.
 
 Usage: python scripts/enumerate_oracle.py [max_n]
 """
 
 import sys
-from itertools import permutations
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-def is_matroid_family(masks, n):
-    """Direct check of the three independence axioms on a set of bitmasks."""
-    fam = set(masks)
-    if not fam or 0 not in fam:
-        return False
-    for s in fam:
-        e = s
-        while e:
-            bit = e & -e
-            if (s ^ bit) not in fam:
-                return False
-            e ^= bit
-    by_size = {}
-    for s in fam:
-        by_size.setdefault(bin(s).count("1"), []).append(s)
-    for k, xs in by_size.items():
-        for y in by_size.get(k - 1, []):
-            for x in xs:
-                diff = x & ~y
-                ok = False
-                e = diff
-                while e:
-                    bit = e & -e
-                    if (y | bit) in fam:
-                        ok = True
-                        break
-                    e ^= bit
-                if not ok:
-                    return False
-    return True
-
-
-def orbit_representative(masks, n):
-    """Minimal relabeling of a family, encoded as a 2^n-bit integer."""
-    best = None
-    for perm in permutations(range(n)):
-        code = 0
-        for s in masks:
-            t = 0
-            for e in range(n):
-                if s >> e & 1:
-                    t |= 1 << perm[e]
-            code |= 1 << t
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def count_classes(n):
-    labeled = 0
-    reps = set()
-    subsets = 1 << n
-    for fam_code in range(1, 1 << subsets):
-        masks = [s for s in range(subsets) if fam_code >> s & 1]
-        if 0 not in masks:
-            continue
-        if not is_matroid_family(masks, n):
-            continue
-        labeled += 1
-        reps.add(orbit_representative(masks, n))
-    return labeled, len(reps)
+from oracles import unpruned_counts  # noqa: E402
 
 
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     for n in range(max_n + 1):
-        labeled, classes = count_classes(n)
+        labeled, classes = unpruned_counts(n)
         print(f"n={n}: labeled={labeled} classes={classes}")
 
 

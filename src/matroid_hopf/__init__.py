@@ -30,8 +30,6 @@ from .formal import (
     Polynomial,
     TensorElement,
     module_product,
-    poly_eval,
-    tensor_swap,
 )
 from .hopf import (
     CoproductMode,
@@ -83,7 +81,7 @@ __all__ = [
     "validate",
     "GroundSetTooLarge", "IsoKey", "canonical_key", "is_isomorphic",
     "ArityMismatch", "ModuleElement", "Monomial", "Polynomial", "TensorElement",
-    "module_product", "poly_eval", "tensor_swap",
+    "module_product",
     "CoproductMode", "antipode_element", "antipode_rd", "coproduct",
     "coproduct_element", "coproduct_monomial", "counit", "iterated_coproduct",
     "DendriformReport", "EmptyMatroidError", "SplitPair", "check_dendriform_axioms",

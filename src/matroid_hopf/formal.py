@@ -194,10 +194,6 @@ Y = Polynomial.variable("y")
 S = Polynomial.variable("s")
 
 
-def poly_eval(p: Polynomial, x=None, y=None, s=None) -> Polynomial:
-    return p.eval(x=x, y=y, s=s)
-
-
 @total_ordering
 @dataclass(frozen=True)
 class Monomial:
@@ -462,7 +458,3 @@ class TensorElement:
 
     def __repr__(self) -> str:
         return f"TensorElement({self.render()})"
-
-
-def tensor_swap(t: TensorElement) -> TensorElement:
-    return t.swap()

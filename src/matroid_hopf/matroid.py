@@ -134,14 +134,25 @@ class Matroid:
         return c, mask.bit_count() - c
 
     def restrict(self, mask: int) -> Matroid:
-        """Restriction to ``mask``, relabeled ascending to 0..|mask|-1."""
-        pos = {e: i for i, e in enumerate(elements_of(mask))}
-        fam = sorted(
-            mask_of(pos[e] for e in elements_of(s))
-            for s in self.independents
-            if s & ~mask == 0
-        )
-        return Matroid(len(pos), tuple(fam))
+        """Restriction to ``mask``, relabeled ascending to 0..|mask|-1.
+
+        Each maximal run of elements missing from ``mask`` below its top
+        element is closed by one shift of the bits above it.  That
+        compression keeps the order of the submasks of ``mask``, so the
+        family stays sorted.
+        """
+        if mask == self.full_mask:
+            return self
+        outside = ~mask
+        fam = [s for s in self.independents if not s & outside]
+        gaps = outside & ((1 << mask.bit_length()) - 1)
+        while gaps:
+            top = gaps.bit_length()
+            start = (mask & ((1 << top) - 1)).bit_length()
+            keep = (1 << start) - 1
+            fam = [(s & keep) | (s >> top << start) for s in fam]
+            gaps &= keep
+        return Matroid(mask.bit_count(), tuple(fam))
 
     def delete(self, mask: int) -> Matroid:
         """Deletion of ``mask``: the restriction to the complement."""
@@ -151,24 +162,28 @@ class Matroid:
         """Contraction of ``mask``, relabeled ascending.
 
         Uses the lexicographically least maximal independent subset of
-        ``mask`` (greedy on ascending labels); the result does not depend
-        on that choice.
+        ``mask``; the result does not depend on that choice.
         """
+        return self._contract_using(mask, self._greedy_basis(mask))
+
+    def _greedy_basis(self, mask: int) -> int:
+        """Lexicographically least maximal independent subset of ``mask``.
+
+        Greedy on ascending labels.
+        """
+        iset = self._iset
         base = 0
-        for e in elements_of(mask):
-            if (base | 1 << e) in self._iset:
-                base |= 1 << e
-        return self._contract_using(mask, base)
+        for bit in _bits(mask):
+            if (base | bit) in iset:
+                base |= bit
+        return base
 
     def _contract_using(self, mask: int, base: int) -> Matroid:
+        # submasks(rest) ascends, so the i-th one relabels to i.
+        iset = self._iset
         rest = self.full_mask & ~mask
-        pos = {e: i for i, e in enumerate(elements_of(rest))}
-        fam = sorted(
-            mask_of(pos[e] for e in elements_of(s))
-            for s in submasks(rest)
-            if (s | base) in self._iset
-        )
-        return Matroid(len(pos), tuple(fam))
+        fam = tuple(i for i, s in enumerate(submasks(rest)) if (s | base) in iset)
+        return Matroid(rest.bit_count(), fam)
 
     def maximal_independent_subsets(self, mask: int) -> tuple[int, ...]:
         r = self.rank(mask)
@@ -215,25 +230,30 @@ class Matroid:
 
         Components are the classes of the relation joining elements that lie
         on a common circuit; the matroid is the direct sum of its
-        restrictions to them.
+        restrictions to them.  They are read off the fundamental circuits of
+        one basis B: e outside B and b in B are joined iff B - b + e is
+        independent.  That graph has the components of the matroid
+        (Krogdahl, "The dependence graph for bases in matroids", Discrete
+        Math. 19, 1977; Oxley, *Matroid Theory*, 4.3).  Loops and coloops
+        come out as singletons.
         """
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for c in self.circuits():
-            es = elements_of(c)
-            for e in es[1:]:
-                parent[find(es[0])] = find(e)
-        blocks: dict[int, int] = {}
-        for e in range(self.n):
-            blocks.setdefault(find(e), 0)
-            blocks[find(e)] |= 1 << e
-        return tuple(sorted(blocks.values(), key=lambda m: m & -m))
+        iset = self._iset
+        basis = self._greedy_basis(self.full_mask)
+        basis_bits = list(_bits(basis))
+        blocks = basis_bits[:]
+        for e in _bits(self.full_mask & ~basis):
+            circuit = e
+            for b in basis_bits:
+                if ((basis ^ b) | e) in iset:
+                    circuit |= b
+            merged, blocks_left = circuit, []
+            for block in blocks:
+                if block & circuit:
+                    merged |= block
+                else:
+                    blocks_left.append(block)
+            blocks = blocks_left + [merged]
+        return tuple(sorted(blocks, key=lambda m: m & -m))
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

@@ -1,8 +1,10 @@
 """Independent brute-force references used by tests.
 
-These deliberately avoid the package's own enumeration and canonicalization
-code paths: families are encoded as bitsets over the power set and orbits
-are taken over all permutations directly.
+These deliberately avoid the package's own code paths: families are
+encoded as bitsets over the power set, orbits are taken over all
+permutations directly, minors relabel element by element, components come
+from a scan for every circuit, and the antipode is a sum over ordered set
+partitions.
 """
 
 from itertools import permutations
@@ -95,3 +97,116 @@ def poly_P_terms(masks, n):
                 term = comb(p, i) * comb(l_a, j) * (-1) ** (p - i + l_a - j)
                 out[i, j] = out.get((i, j), 0) + term
     return {exps: c for exps, c in out.items() if c}
+
+
+def _elements(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def _relabel_into(subsets, ground):
+    """Subsets of ``ground`` relabeled ascending to 0..|ground|-1, sorted."""
+    bit_of = {1 << e: 1 << i for i, e in enumerate(_elements(ground))}
+    out = []
+    for s in subsets:
+        t = 0
+        while s:
+            low = s & -s
+            t |= bit_of[low]
+            s ^= low
+        out.append(t)
+    return sorted(out)
+
+
+def restrict_family(masks, keep):
+    """Independent family of M|keep: the members inside ``keep``, relabeled."""
+    return _relabel_into([s for s in masks if s & ~keep == 0], keep)
+
+
+def contract_family(masks, n, mask):
+    """Independent family of M/mask, relabeled.
+
+    B is grown greedily on ascending labels inside ``mask``; a subset I of
+    the rest is independent in M/mask iff I | B is independent in M.
+    """
+    fam = set(masks)
+    base = 0
+    for e in _elements(mask):
+        if (base | 1 << e) in fam:
+            base |= 1 << e
+    rest = ((1 << n) - 1) & ~mask
+    kept = []
+    s = rest
+    while True:
+        if (s | base) in fam:
+            kept.append(s)
+        if not s:
+            return _relabel_into(kept, rest)
+        s = (s - 1) & rest
+
+
+def component_blocks(masks, n):
+    """Connected components by union-find over every circuit.
+
+    Circuits come from a scan of all 2^n subsets: dependent sets all of
+    whose one-element deletions are independent.  Blocks are ordered by
+    least element.
+    """
+    fam = set(masks)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for s in range(1 << n):
+        if s in fam:
+            continue
+        rest = s
+        while rest:
+            low = rest & -rest
+            if (s ^ low) not in fam:
+                break
+            rest ^= low
+        else:
+            es = _elements(s)
+            for e in es[1:]:
+                parent[find(e)] = find(es[0])
+    blocks = {}
+    for e in range(n):
+        blocks[find(e)] = blocks.get(find(e), 0) | 1 << e
+    return sorted(blocks.values(), key=lambda b: b & -b)
+
+
+def ordered_set_partitions(mask):
+    """Every tuple (A1, ..., Ak) of nonempty disjoint masks with union ``mask``."""
+    if not mask:
+        yield ()
+        return
+    first = mask
+    while first:
+        for rest in ordered_set_partitions(mask & ~first):
+            yield (first,) + rest
+        first = (first - 1) & mask
+
+
+def antipode_rd_terms(masks, n):
+    """RD antipode by Takeuchi's formula, keyed by ``orbit_code``.
+
+    S(M) is the sum over ordered set partitions (A1, ..., Ak) of E of
+    (-1)^k M|A1 ... M|Ak.  The product is the direct sum, so each term is
+    keyed by the orbit code of the direct sum of the restrictions.
+    """
+    codes = {}
+    out = {}
+    for blocks in ordered_set_partitions((1 << n) - 1):
+        fam, size = [0], 0
+        for block in blocks:
+            part = restrict_family(masks, block)
+            fam = [a | b << size for a in fam for b in part]
+            size += bin(block).count("1")
+        fam = tuple(sorted(fam))
+        if fam not in codes:
+            codes[fam] = orbit_code(fam, n)
+        out[codes[fam]] = out.get(codes[fam], 0) + (-1) ** len(blocks)
+    return {code: c for code, c in out.items() if c}

@@ -22,6 +22,8 @@ from matroid_hopf.hopf import (
     convolve_antipode_identity,
 )
 
+from oracles import antipode_rd_terms, orbit_code, ordered_set_partitions
+
 
 def mono(*matroids):
     out = Monomial.unit()
@@ -223,6 +225,17 @@ class TestAntipode:
                     ModuleElement.from_monomial(mono(m1) * mono(m2))
                 )
                 assert direct == via_product
+
+    def test_matches_takeuchi_oracle(self, catalog_reps):
+        # Fubini numbers: ordered set partitions of a 4-set and a 5-set
+        assert len(list(ordered_set_partitions(0b1111))) == 75
+        assert len(list(ordered_set_partitions(0b11111))) == 541
+        for m in catalog_reps + [uniform(2, 5)]:
+            got = {}
+            for term, c in antipode_rd(canonical_key(m)).terms.items():
+                code = orbit_code(term.matroid().independents, m.n)
+                got[code] = got.get(code, 0) + c
+            assert got == antipode_rd_terms(m.independents, m.n)
 
     def test_degree_preserved(self, catalog_reps):
         for m in catalog_reps:

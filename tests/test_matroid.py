@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,12 @@ from matroid_hopf import (
     validate,
 )
 
-from oracles import family_is_matroid
+from oracles import (
+    component_blocks,
+    contract_family,
+    family_is_matroid,
+    restrict_family,
+)
 
 
 def test_mask_helpers():
@@ -274,6 +280,56 @@ class TestComponents:
     def test_direct_sum_splits(self):
         m = uniform(1, 2).direct_sum(uniform(1, 3))
         assert m.components() == (0b00011, 0b11100)
+
+
+K5 = graphic(5, list(combinations(range(5), 2)))
+
+
+class TestMinorOracles:
+    """Minors and components against the element-by-element oracles."""
+
+    def test_every_subset(self, catalog_reps):
+        cases = list(catalog_reps)
+        cases += [
+            m1.direct_sum(m2)
+            for m1, m2 in product(catalog_reps, repeat=2)
+            if m1.n + m2.n <= 6
+        ]
+        cases += [K5, K5.dual()]
+        # M(K4) plus an edge parallel to (0, 1) and a self-loop: n = 8
+        cases.append(graphic(4, list(combinations(range(4), 2)) + [(0, 1), (2, 2)]))
+        for m in cases:
+            assert list(m.components()) == component_blocks(m.independents, m.n)
+            got, want = [], []
+            for mask in range(1 << m.n):
+                for minor, size, fam in (
+                    (m.restrict(mask), mask.bit_count(),
+                     restrict_family(m.independents, mask)),
+                    (m.contract(mask), m.n - mask.bit_count(),
+                     contract_family(m.independents, m.n, mask)),
+                ):
+                    got.append((minor.n, list(minor.independents), list(minor.components())))
+                    want.append((size, fam, component_blocks(fam, size)))
+            assert got == want
+
+    def test_restriction_with_three_runs(self):
+        mask = 0b1101100111
+        kept = [e for i, e in enumerate(combinations(range(5), 2)) if mask >> i & 1]
+        assert K5.restrict(mask) == graphic(5, kept)
+        assert list(K5.restrict(mask).independents) == restrict_family(
+            K5.independents, mask
+        )
+
+    def test_restriction_to_everything(self, catalog_reps):
+        for m in catalog_reps + [K5]:
+            assert m.restrict(m.full_mask) == m
+
+    def test_components_of_loop_coloop_and_pair(self):
+        m = uniform(0, 1).direct_sum(uniform(1, 1)).direct_sum(uniform(1, 2))
+        assert m.components() == (0b0001, 0b0010, 0b1100)
+
+    def test_components_of_empty_matroid(self):
+        assert empty_matroid().components() == ()
 
 
 def test_json_round_trip(catalog_reps):
