@@ -41,9 +41,6 @@ class Catalog:
     classes: tuple[IsoKey, ...]
     labeled_count: int
 
-    def representatives(self) -> tuple[Matroid, ...]:
-        return tuple(key.matroid() for key in self.classes)
-
     def __len__(self) -> int:
         return len(self.classes)
 

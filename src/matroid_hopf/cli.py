@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .canonical import GroundSetTooLarge, canonical_key
+from .canonical import GroundSetTooLarge, MAX_GROUND_SET, canonical_key
 from .catalog import (
     CatalogTooLarge,
     MAX_CATALOG_N,
@@ -40,13 +40,16 @@ _GRAPHIC_RE = re.compile(r"^graphic\(\s*(\d+)\s*(?:;(.*))?\)$")
 
 
 def parse_expression(text: str) -> Matroid:
-    """uniform(r,n) or graphic(v; u1-w1, u2-w2, ...)."""
+    """uniform(r,n) or graphic(v; u1-w1, ...); no family beyond MAX_GROUND_SET."""
     from .matroid import graphic, uniform
 
     text = text.strip()
     m = _UNIFORM_RE.match(text)
     if m:
-        return uniform(int(m.group(1)), int(m.group(2)))
+        n = int(m.group(2))
+        if n > MAX_GROUND_SET:
+            raise GroundSetTooLarge(n)
+        return uniform(int(m.group(1)), n)
     m = _GRAPHIC_RE.match(text)
     if m:
         vertex_count = int(m.group(1))
@@ -58,6 +61,8 @@ def parse_expression(text: str) -> Matroid:
                 if len(ends) != 2:
                     raise InputError(f"bad edge {part.strip()!r}, expected 'u-w'")
                 edges.append((int(ends[0]), int(ends[1])))
+        if len(edges) > MAX_GROUND_SET:
+            raise GroundSetTooLarge(len(edges))
         return graphic(vertex_count, edges)
     raise InputError(
         f"cannot parse expression {text!r}; expected uniform(r,n) or "

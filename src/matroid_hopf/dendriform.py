@@ -2,7 +2,10 @@
 
 The reduced coproduct (full coproduct minus both boundary terms) splits
 into a left part summing over dependent proper nonempty subsets and a right
-part summing over independent ones.  The restriction-contraction split
+part summing over independent ones.  All three are the subset-sum kernel of
+``hopf`` over the proper nonempty subsets, filtered by independence for the
+halves; the axiom checks apply a split to one leg through
+``TensorElement.expand_leg``.  The restriction-contraction split
 satisfies all three dendriform coalgebra axioms.  The restriction-deletion
 split satisfies axiom 1; it fails axioms 2 and 3 exactly when the matroid
 has a circuit of size at least 2 other than the ground set E, since both
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .formal import Monomial, TensorElement
-from .hopf import CoproductMode, _check_size
+from .hopf import CoproductMode, _subset_sum
 from .matroid import Matroid
 
 
@@ -63,41 +66,18 @@ def split(mode: CoproductMode, matroid: Matroid) -> SplitPair:
 
 def _split_sum(mode: CoproductMode, matroid: Matroid, half: SplitHalf) -> TensorElement:
     _require_nonempty(matroid)
-    _check_size(matroid)
-    terms: dict[tuple[Monomial, ...], int] = {}
-    full = matroid.full_mask
-    for a in range(1, full):
-        independent = matroid.is_independent(a)
-        if half is SplitHalf.PREC and independent:
-            continue
-        if half is SplitHalf.SUCC and not independent:
-            continue
-        left = Monomial.from_matroid(matroid.restrict(a))
-        if mode is CoproductMode.RD:
-            right = Monomial.from_matroid(matroid.delete(a))
-        else:
-            right = Monomial.from_matroid(matroid.contract(a))
-        legs = (left, right)
-        terms[legs] = terms.get(legs, 0) + 1
-    return TensorElement(2, terms)
-
-
-def _split_sum_monomial(mode: CoproductMode, m: Monomial, half: SplitHalf) -> TensorElement:
-    """Split maps on a monomial, through its representative direct sum."""
-    return _split_sum(mode, m.matroid(), half)
+    subsets = range(1, matroid.full_mask)
+    if half is not SplitHalf.BOTH:
+        independent = half is SplitHalf.SUCC
+        subsets = (a for a in subsets if matroid.is_independent(a) == independent)
+    return _subset_sum(mode, matroid, subsets)
 
 
 def _compose(
     mode: CoproductMode, outer: TensorElement, leg: int, half: SplitHalf
 ) -> TensorElement:
     """Apply a split map to one leg of an arity-2 tensor, giving arity 3."""
-    terms: dict[tuple[Monomial, ...], int] = {}
-    for (a, b), c in outer.terms.items():
-        inner = _split_sum_monomial(mode, a if leg == 0 else b, half)
-        for (p, q), c2 in inner.terms.items():
-            legs = (p, q, b) if leg == 0 else (a, p, q)
-            terms[legs] = terms.get(legs, 0) + c * c2
-    return TensorElement(3, terms)
+    return outer.expand_leg(leg, lambda m: _split_sum(mode, m.matroid(), half))
 
 
 @dataclass(frozen=True)
@@ -146,28 +126,15 @@ def codendriform_gap(m1: Matroid, m2: Matroid) -> TensorElement:
     mode = CoproductMode.RD
     mono1 = Monomial.from_matroid(m1)
     mono2 = Monomial.from_matroid(m2)
+    unit = Monomial.unit()
     lhs = _split_sum(mode, m1.direct_sum(m2), SplitHalf.SUCC)
 
     red1 = reduced_coproduct(mode, m1)
     succ2 = split(mode, m2).succ
     rhs = TensorElement.zero(2)
     rhs = rhs + red1.legwise_product(succ2)
-    rhs = rhs + _attach(red1, right=mono2)
-    rhs = rhs + _attach(succ2, left_prefix=mono1)
-    rhs = rhs + _attach(succ2, right=mono1)
+    rhs = rhs + red1.legwise_product(TensorElement.from_term((unit, mono2)))
+    rhs = rhs + succ2.legwise_product(TensorElement.from_term((mono1, unit)))
+    rhs = rhs + succ2.legwise_product(TensorElement.from_term((unit, mono1)))
     rhs = rhs + TensorElement.from_term((mono1, mono2))
     return lhs - rhs
-
-
-def _attach(
-    t: TensorElement, left_prefix: Monomial | None = None, right: Monomial | None = None
-) -> TensorElement:
-    """Multiply one leg of every term by a fixed monomial."""
-    terms: dict[tuple[Monomial, ...], int] = {}
-    for (a, b), c in t.terms.items():
-        if left_prefix is not None:
-            a = left_prefix * a
-        if right is not None:
-            b = right * b
-        terms[(a, b)] = terms.get((a, b), 0) + c
-    return TensorElement(2, terms)

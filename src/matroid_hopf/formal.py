@@ -436,8 +436,16 @@ class TensorElement:
                 out[legs] = out.get(legs, 0) + c1 * c2
         return TensorElement(self.arity, out)
 
-    def leg_degrees(self) -> set[tuple[int, ...]]:
-        return {tuple(m.degree for m in legs) for legs in self.terms}
+    def expand_leg(self, leg: int, f) -> TensorElement:
+        """Apply f, monomial to arity-2 tensor, to leg 0 or 1; arity 2 to 3."""
+        if self.arity != 2:
+            raise ArityMismatch("expand_leg is only defined for arity-2 tensors")
+        out: dict[tuple[Monomial, ...], int] = {}
+        for legs, c in self.terms.items():
+            for pair, c2 in f(legs[leg]).terms.items():
+                new = legs[:leg] + pair + legs[leg + 1 :]
+                out[new] = out.get(new, 0) + c * c2
+        return TensorElement(3, out)
 
     def sorted_terms(self) -> list[tuple[tuple[Monomial, ...], int]]:
         return sorted(

@@ -3,14 +3,20 @@
 The restriction-contraction coproduct sends a matroid to the sum over all
 ground-set subsets A of (restriction to A) tensor (contraction of A); the
 restriction-deletion coproduct replaces the contraction with the deletion.
-Both extend multiplicatively to monomials.  The restriction-deletion
-bialgebra is a Hopf algebra; its antipode is computed by the subset
-recursion with memoization per isomorphism class.
+Both extend multiplicatively to monomials.  One kernel, ``_subset_sum``,
+takes that sum over given subsets A: all of them for the coproduct, the
+proper nonempty ones for the reduced coproduct, the split halves and the
+antipode.  It computes each restriction's monomial once per call; in the
+restriction-deletion case M\\A = M|(E - A) comes from the same table.  The
+restriction-deletion bialgebra is a Hopf algebra; its antipode is
+S(m) = -m - sum c S(a) b over the grouped terms c a (x) b of the reduced
+coproduct of m, memoized per monomial.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Literal
 
 from .canonical import GroundSetTooLarge, IsoKey, MAX_GROUND_SET
@@ -28,19 +34,31 @@ def _check_size(matroid: Matroid) -> None:
         raise GroundSetTooLarge(matroid.n)
 
 
-def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
-    """Sum over all subsets A of restriction(A) tensor (deletion|contraction)(A)."""
+def _subset_sum(mode: CoproductMode, matroid: Matroid, subsets) -> TensorElement:
+    """Sum over A in ``subsets`` of M|A (x) M\\A (RD) or M|A (x) M/A (RC)."""
     _check_size(matroid)
+    full = matroid.full_mask
+    table: dict[int, Monomial] = {}
+
+    def restricted(mask: int) -> Monomial:
+        if mask not in table:
+            table[mask] = Monomial.from_matroid(matroid.restrict(mask))
+        return table[mask]
+
     terms: dict[tuple[Monomial, ...], int] = {}
-    for a in range(1 << matroid.n):
-        left = Monomial.from_matroid(matroid.restrict(a))
+    for a in subsets:
         if mode is CoproductMode.RD:
-            right = Monomial.from_matroid(matroid.delete(a))
+            right = restricted(full ^ a)
         else:
             right = Monomial.from_matroid(matroid.contract(a))
-        legs = (left, right)
+        legs = (restricted(a), right)
         terms[legs] = terms.get(legs, 0) + 1
     return TensorElement(2, terms)
+
+
+def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
+    """Sum over all subsets A of restriction(A) tensor (deletion|contraction)(A)."""
+    return _subset_sum(mode, matroid, range(1 << matroid.n))
 
 
 _coproduct_monomial_cache: dict[tuple[CoproductMode, Monomial], TensorElement] = {}
@@ -77,14 +95,9 @@ def iterated_coproduct(
     """(coproduct (x) Id) o coproduct, or (Id (x) coproduct) o coproduct."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    outer = coproduct(mode, matroid)
-    terms: dict[tuple[Monomial, ...], int] = {}
-    for (a, b), c in outer.terms.items():
-        inner = coproduct_monomial(mode, a if side == "left" else b)
-        for (p, q), c2 in inner.terms.items():
-            legs = (p, q, b) if side == "left" else (a, p, q)
-            terms[legs] = terms.get(legs, 0) + c * c2
-    return TensorElement(3, terms)
+    return coproduct(mode, matroid).expand_leg(
+        0 if side == "left" else 1, partial(coproduct_monomial, mode)
+    )
 
 
 def apply_counit_left(t: TensorElement) -> ModuleElement:
@@ -116,29 +129,22 @@ def antipode_rd(key: IsoKey) -> ModuleElement:
     """Antipode of a matroid class in the restriction-deletion Hopf algebra.
 
     S(1) = 1 and S(M) = -M - sum over proper nonempty A of S(M|A) . (M\\A),
-    memoized per isomorphism class.
+    with equal terms grouped and S memoized per monomial.
     """
     if key.n > MAX_GROUND_SET:
         raise GroundSetTooLarge(key.n)
-    return _antipode_matroid(key.matroid())
+    return _antipode(Monomial.from_matroid(key.matroid()))
 
 
-def _antipode_matroid(matroid: Matroid) -> ModuleElement:
-    m = Monomial.from_matroid(matroid)
+def _antipode(m: Monomial) -> ModuleElement:
     hit = _antipode_cache.get(m)
     if hit is not None:
         return hit
-    if m.is_unit:
-        result = ModuleElement.one()
-    else:
-        result = -ModuleElement.from_monomial(m)
-        full = matroid.full_mask
-        for a in range(1, full):
-            part = module_product(
-                _antipode_matroid(matroid.restrict(a)),
-                ModuleElement.from_matroid(matroid.delete(a)),
-            )
-            result = result - part
+    result = ModuleElement.one() if m.is_unit else -ModuleElement.from_monomial(m)
+    matroid = m.matroid()
+    reduced = _subset_sum(CoproductMode.RD, matroid, range(1, matroid.full_mask))
+    for (a, b), c in reduced.terms.items():
+        result = result - c * module_product(_antipode(a), ModuleElement.from_monomial(b))
     _antipode_cache[m] = result
     return result
 
@@ -156,14 +162,12 @@ def antipode_element(e: ModuleElement) -> ModuleElement:
 
 def convolve_antipode_identity(matroid: Matroid, antipode_side: Literal["left", "right"]) -> ModuleElement:
     """Multiply after (S (x) Id) or (Id (x) S) applied to the RD coproduct."""
-    t = coproduct(CoproductMode.RD, matroid)
     out = ModuleElement.zero()
-    for (a, b), c in t.terms.items():
+    for (a, b), c in coproduct(CoproductMode.RD, matroid).terms.items():
+        a, b = ModuleElement.from_monomial(a), ModuleElement.from_monomial(b)
         if antipode_side == "left":
-            part = module_product(antipode_element(ModuleElement.from_monomial(a)),
-                                  ModuleElement.from_monomial(b))
+            a = antipode_element(a)
         else:
-            part = module_product(ModuleElement.from_monomial(a),
-                                  antipode_element(ModuleElement.from_monomial(b)))
-        out = out + c * part
+            b = antipode_element(b)
+        out = out + c * module_product(a, b)
     return out

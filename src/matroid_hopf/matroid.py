@@ -110,11 +110,6 @@ class Matroid:
         self._check_element(e)
         return (1 << e) not in self._iset
 
-    def is_coloop(self, e: int) -> bool:
-        self._check_element(e)
-        bit = 1 << e
-        return all(b & bit for b in self.bases())
-
     def loops(self) -> int:
         """Bitmask of loops (elements whose singleton is dependent)."""
         return mask_of(e for e in range(self.n) if (1 << e) not in self._iset)
@@ -214,16 +209,6 @@ class Matroid:
             mask_of(perm[e] for e in elements_of(s)) for s in self.independents
         )
         return Matroid(self.n, tuple(fam))
-
-    def circuits(self) -> tuple[int, ...]:
-        """Minimal dependent sets."""
-        out = []
-        for s in range(1 << self.n):
-            if s in self._iset:
-                continue
-            if all((s ^ bit) in self._iset for bit in _bits(s)):
-                out.append(s)
-        return tuple(out)
 
     def components(self) -> tuple[int, ...]:
         """Masks of the connected components, ordered by least element.

@@ -3,10 +3,12 @@
 These deliberately avoid the package's own code paths: families are
 encoded as bitsets over the power set, orbits are taken over all
 permutations directly, minors relabel element by element, components come
-from a scan for every circuit, and the antipode is a sum over ordered set
-partitions.
+from a scan for every circuit, the antipode is a sum over ordered set
+partitions, and coproduct legs are keyed by the orbit codes of their
+components.
 """
 
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
@@ -144,21 +146,14 @@ def contract_family(masks, n, mask):
         s = (s - 1) & rest
 
 
-def component_blocks(masks, n):
-    """Connected components by union-find over every circuit.
+def circuits(masks, n):
+    """Minimal dependent sets, by a scan of all 2^n subsets.
 
-    Circuits come from a scan of all 2^n subsets: dependent sets all of
-    whose one-element deletions are independent.  Blocks are ordered by
-    least element.
+    A circuit is a dependent set all of whose one-element deletions are
+    independent.
     """
     fam = set(masks)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
+    out = []
     for s in range(1 << n):
         if s in fam:
             continue
@@ -169,13 +164,83 @@ def component_blocks(masks, n):
                 break
             rest ^= low
         else:
-            es = _elements(s)
-            for e in es[1:]:
-                parent[find(e)] = find(es[0])
+            out.append(s)
+    return out
+
+
+def component_blocks(masks, n):
+    """Connected components by union-find over every circuit.
+
+    Blocks are ordered by least element.
+    """
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for s in circuits(masks, n):
+        es = _elements(s)
+        for e in es[1:]:
+            parent[find(e)] = find(es[0])
     blocks = {}
     for e in range(n):
         blocks[find(e)] = blocks.get(find(e), 0) | 1 << e
     return sorted(blocks.values(), key=lambda b: b & -b)
+
+
+@lru_cache(maxsize=None)
+def class_code(masks, n):
+    """Isomorphism class as the sorted (size, orbit_code) of each component.
+
+    ``masks`` is a tuple; codes are memoized, since the coproduct oracle
+    meets the same leg families again and again.
+    """
+    out = []
+    for block in component_blocks(masks, n):
+        size = bin(block).count("1")
+        out.append((size, orbit_code(restrict_family(masks, block), size)))
+    return tuple(sorted(out))
+
+
+def coproduct_terms(masks, n, mode, keep):
+    """The "rd" or "rc" coproduct summed over the subsets A with keep(A).
+
+    Each subset adds 1 to the pair of leg codes (M|A, M\\A) or (M|A, M/A),
+    each leg keyed by ``class_code``; the deletion is the restriction to
+    the complement.
+    """
+    full = (1 << n) - 1
+    out = {}
+    for a in range(1 << n):
+        if not keep(a):
+            continue
+        if mode == "rd":
+            right = restrict_family(masks, full & ~a)
+        else:
+            right = contract_family(masks, n, a)
+        size = bin(a).count("1")
+        left = restrict_family(masks, a)
+        pair = (class_code(tuple(left), size), class_code(tuple(right), n - size))
+        out[pair] = out.get(pair, 0) + 1
+    return out
+
+
+def tensor_codes(t):
+    """A package tensor keyed like ``coproduct_terms``: legs by ``class_code``.
+
+    Each monomial factor is a connected class, so a leg's code collects the
+    codes of its factors' canonical families.
+    """
+    out = {}
+    for legs, c in t.terms.items():
+        pair = tuple(
+            tuple(sorted(x for key in m.factors for x in class_code(key.family, key.n)))
+            for m in legs
+        )
+        out[pair] = out.get(pair, 0) + c
+    return out
 
 
 def ordered_set_partitions(mask):

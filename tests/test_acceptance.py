@@ -12,7 +12,7 @@ M|B (x) M|C (x) M|(E - B - C) over ordered pairs of disjoint nonempty
 independent sets B, C whose union is a dependent proper subset of E.  Every
 term is positive, so axioms 2 and 3 fail exactly on the classes with a
 circuit of size at least 2 other than E; the test asserts that per class,
-from `Matroid.circuits()`, and pins both sides on U_{1,3} (the left side of
+from `oracles.circuits`, and pins both sides on U_{1,3} (the left side of
 axiom 2 is 6 U_{1,1} (x) U_{1,1} (x) U_{1,1}, the right side is zero).
 """
 
@@ -52,7 +52,7 @@ from matroid_hopf.hopf import (
     convolve_antipode_identity,
 )
 
-from oracles import unpruned_counts
+from oracles import circuits, unpruned_counts
 
 
 def report(number: int, label: str, ok: bool) -> bool:
@@ -231,7 +231,7 @@ def test_criterion_4_hopf_structure(catalog_reps):
 
 def _has_nonloop_circuit_other_than_e(m):
     """A circuit of size at least 2 other than the ground set."""
-    return any(c != m.full_mask and bin(c).count("1") >= 2 for c in m.circuits())
+    return any(c != m.full_mask and bin(c).count("1") >= 2 for c in circuits(m.independents, m.n))
 
 
 def _rd_u13_sides_ok():

@@ -50,7 +50,8 @@ def test_classes_sorted_and_unique(catalogs):
 
 def test_representatives_validate(catalogs):
     for n in range(5):
-        for m in catalogs[n].representatives():
+        for key in catalogs[n].classes:
+            m = key.matroid()
             assert validate(m.n, m.independents) == m
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from matroid_hopf.cli import main, parse_expression
 from matroid_hopf import uniform, graphic
+from matroid_hopf.canonical import GroundSetTooLarge
 from matroid_hopf.cli import InputError
 
 
@@ -28,6 +29,12 @@ class TestExpressionParser:
             parse_expression("octopus(3)")
         with pytest.raises(InputError):
             parse_expression("graphic(2; 0+1)")
+
+    def test_rejects_oversized_before_building(self):
+        with pytest.raises(GroundSetTooLarge):
+            parse_expression("uniform(11,11)")
+        with pytest.raises(GroundSetTooLarge):
+            parse_expression("graphic(2; " + ", ".join(["0-1"] * 11) + ")")
 
 
 class TestCommands:
@@ -145,6 +152,15 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "40" in err
+
+    def test_oversized_expression_exits_before_building(self, capsys):
+        # 30 edges: building the family first would walk 2^30 edge subsets
+        expr = "graphic(2; " + ", ".join(["0-1"] * 30) + ")"
+        code, out, err = run(capsys, "show", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "30" in err
 
     @pytest.mark.parametrize("command", ["verify", "enumerate"])
     def test_negative_max_n(self, capsys, tmp_path, command):

@@ -13,6 +13,8 @@ from matroid_hopf import (
     uniform,
 )
 
+from oracles import coproduct_terms, tensor_codes
+
 
 def mono(*matroids):
     out = Monomial.unit()
@@ -66,6 +68,24 @@ class TestSplit:
             for mode in CoproductMode:
                 halves = split(mode, m)
                 assert halves.prec + halves.succ == reduced_coproduct(mode, m)
+
+    def test_matches_subset_oracle(self, oracle_cases):
+        for m in oracle_cases:
+            if m.n == 0:
+                continue
+            fam, full = set(m.independents), (1 << m.n) - 1
+
+            def prec(a):
+                return 0 < a < full and a not in fam
+
+            def succ(a):
+                return 0 < a < full and a in fam
+
+            for mode in CoproductMode:
+                halves = split(mode, m)
+                for half, keep in ((halves.prec, prec), (halves.succ, succ)):
+                    want = coproduct_terms(m.independents, m.n, mode.value, keep)
+                    assert tensor_codes(half) == want
 
     def test_prec_left_legs_are_dependent_classes(self, catalog_reps):
         for m in catalog_reps:

@@ -242,6 +242,32 @@ class TestTensorElement:
         t2 = TensorElement.from_term((b, a), 3)
         assert t1.legwise_product(t2) == TensorElement.from_term((a * b, b * a), 6)
 
+    def test_expand_leg(self):
+        one = Monomial.unit()
+        a, b, c = mono(uniform(1, 1)), mono(uniform(0, 1)), mono(uniform(1, 2))
+        t = TensorElement.from_term((a, b), 2) + TensorElement.from_term((b, c), 3)
+
+        def f(m):
+            return TensorElement.from_term((one, m)) + TensorElement.from_term((m, m), 5)
+
+        def t3(*terms):
+            out = TensorElement.zero(3)
+            for coeff, *legs in terms:
+                out = out + TensorElement.from_term(tuple(legs), coeff)
+            return out
+
+        assert t.expand_leg(0, f) == t3(
+            (2, one, a, b), (10, a, a, b), (3, one, b, c), (15, b, b, c)
+        )
+        assert t.expand_leg(1, f) == t3(
+            (2, a, one, b), (10, a, b, b), (3, b, one, c), (15, b, c, c)
+        )
+
+    def test_expand_leg_arity_mismatch(self):
+        t = TensorElement.from_term((Monomial.unit(),) * 3)
+        with pytest.raises(ArityMismatch):
+            t.expand_leg(0, lambda m: TensorElement.from_term((m, m)))
+
     def test_rendering(self):
         a, b = mono(uniform(1, 1)), mono(uniform(1, 2))
         t = (

@@ -22,7 +22,13 @@ from matroid_hopf.hopf import (
     convolve_antipode_identity,
 )
 
-from oracles import antipode_rd_terms, orbit_code, ordered_set_partitions
+from oracles import (
+    antipode_rd_terms,
+    coproduct_terms,
+    orbit_code,
+    ordered_set_partitions,
+    tensor_codes,
+)
 
 
 def mono(*matroids):
@@ -70,12 +76,18 @@ class TestCoproduct:
     def test_grading(self, catalog_reps):
         for m in catalog_reps:
             for mode in CoproductMode:
-                for degrees in coproduct(mode, m).leg_degrees():
-                    assert sum(degrees) == m.n
+                for legs in coproduct(mode, m).terms:
+                    assert sum(leg.degree for leg in legs) == m.n
 
     def test_size_limit(self):
         with pytest.raises(GroundSetTooLarge):
             coproduct(CoproductMode.RD, uniform(0, 11))
+
+    def test_matches_subset_oracle(self, oracle_cases):
+        for m in oracle_cases:
+            for mode in CoproductMode:
+                want = coproduct_terms(m.independents, m.n, mode.value, lambda a: True)
+                assert tensor_codes(coproduct(mode, m)) == want
 
 
 class TestCoproductMonomial:

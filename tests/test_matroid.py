@@ -220,7 +220,7 @@ class TestDirectSumAndDual:
         m = uniform(1, 1).direct_sum(uniform(0, 1))
         assert m.coloops() == 0b01
         assert m.loops() == 0b10
-        assert m.is_coloop(0) and not m.is_coloop(1)
+        assert m.coloops() & 0b01 and not m.coloops() & 0b10
 
     def test_coloops_are_dual_loops(self, catalog_reps):
         for m in catalog_reps:
