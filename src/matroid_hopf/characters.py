@@ -2,7 +2,7 @@
 
 Linear functionals send monomials to exact polynomials in x, y, s.  The two
 infinitesimal characters detect a single loop and a single coloop; scaled
-combinations of them exponentiate (finitely, degree by degree) to genuine
+combinations of them exponentiate (by a recursion on the degree) to genuine
 characters, and a two-factor convolution of such exponentials recovers the
 subset-sum polynomial invariant up to a power of s.
 """
@@ -24,16 +24,13 @@ class NotInfinitesimal(ValueError):
 class LinearFunctional:
     """A linear map from monomials to polynomials, memoized per monomial.
 
-    ``kind`` is one of "infinitesimal" (vanishes on the unit and on any
-    product of two or more classes), "character" (unit value 1,
-    multiplicative across factors), or "generic".  ``integer_valued`` marks
-    functionals whose values provably have integer coefficients; the
-    convolution exponential asserts this clears its factorials.
+    ``integer_valued`` marks functionals whose values provably have integer
+    coefficients; the convolution exponential asserts that its divisions by
+    the degree leave them integral.
     """
 
-    def __init__(self, rule, kind: str, name: str = "", integer_valued: bool = False):
+    def __init__(self, rule, name: str = "", integer_valued: bool = False):
         self._rule = rule
-        self.kind = kind
         self.name = name
         self.integer_valued = integer_valued
         self._memo: dict[Monomial, Polynomial] = {}
@@ -46,7 +43,7 @@ class LinearFunctional:
         return hit
 
     def __repr__(self) -> str:
-        return f"LinearFunctional({self.name or self.kind})"
+        return f"LinearFunctional({self.name})"
 
 
 def indicator(key_matroid: Matroid, name: str) -> LinearFunctional:
@@ -58,7 +55,7 @@ def indicator(key_matroid: Matroid, name: str) -> LinearFunctional:
     def rule(m: Monomial) -> Polynomial:
         return ONE if m == target else ZERO
 
-    return LinearFunctional(rule, "infinitesimal", name, integer_valued=True)
+    return LinearFunctional(rule, name, integer_valued=True)
 
 
 @lru_cache(maxsize=None)
@@ -82,15 +79,10 @@ def linear_combination(parts: list[tuple[Polynomial, LinearFunctional]], name: s
             out = out + coeff * f(m)
         return out
 
-    kind = (
-        "infinitesimal"
-        if all(f.kind == "infinitesimal" for _, f in parts)
-        else "generic"
-    )
     integer = all(
         f.integer_valued and c.has_integer_coefficients() for c, f in parts
     )
-    return LinearFunctional(rule, kind, name, integer_valued=integer)
+    return LinearFunctional(rule, name, integer_valued=integer)
 
 
 def conv_unit() -> LinearFunctional:
@@ -99,7 +91,7 @@ def conv_unit() -> LinearFunctional:
     def rule(m: Monomial) -> Polynomial:
         return ONE if m.is_unit else ZERO
 
-    return LinearFunctional(rule, "character", "unit", integer_valued=True)
+    return LinearFunctional(rule, "unit", integer_valued=True)
 
 
 def convolve(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
@@ -111,85 +103,71 @@ def convolve(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
             out = out + c * (f(a) * g(b))
         return out
 
-    kind = "character" if f.kind == "character" and g.kind == "character" else "generic"
     name = f"({f.name}*{g.name})"
-    return LinearFunctional(
-        rule, kind, name, integer_valued=f.integer_valued and g.integer_valued
-    )
+    return LinearFunctional(rule, name, integer_valued=f.integer_valued and g.integer_valued)
 
 
 def conv_exp(f: LinearFunctional) -> LinearFunctional:
-    """Convolution exponential of an infinitesimal functional.
+    """Convolution exponential E = sum over k of f^{*k}/k! of a functional f
+    vanishing on the unit.
 
-    The sum over k of the k-fold convolution power divided by k! is finite
-    on each monomial because an infinitesimal functional kills the unit, so
-    the k-th power vanishes below degree k.  Exact rational arithmetic; when
+    The restriction-deletion coproduct is cocommutative, so convolution is
+    commutative, and D(g)(m) = deg(m) g(m) is a derivation of it because the
+    coproduct preserves degree.  Hence D(E) = E * D(f): E(1) = 1 and
+    deg(m) E(m) = sum c deg(b) E(a) f(b) over the terms c a (x) b of the
+    coproduct of m.  Terms with f(b) = 0 are skipped; they include b = 1, so
+    every a left has lower degree than m.  Exact rational arithmetic; when
     the input is integer valued the result must be too, and this is checked.
     """
     if f(Monomial.unit()) != ZERO:
         raise NotInfinitesimal(
             "convolution exponential needs a functional vanishing on the unit"
         )
-    powers = [conv_unit(), f]
 
     def rule(m: Monomial) -> Polynomial:
-        degree = m.degree
-        while len(powers) <= degree:
-            powers.append(convolve(powers[-1], f))
+        if m.is_unit:
+            return ONE
         out = ZERO
-        factorial = 1
-        for k in range(degree + 1):
-            if k:
-                factorial *= k
-            out = out + powers[k](m) / factorial
+        for (a, b), c in coproduct_monomial(CoproductMode.RD, m).terms.items():
+            fb = f(b)
+            if fb:
+                out = out + c * b.degree * (exp(a) * fb)
+        out = out / m.degree
         if f.integer_valued and not out.has_integer_coefficients():
             raise AssertionError(
-                f"exponential of {f.name or 'functional'} failed to clear "
-                f"factorials on {m}"
+                f"exponential of {f.name or 'functional'} is not integral on {m}"
             )
         return out
 
-    return LinearFunctional(
-        rule, "character", f"exp({f.name})", integer_valued=f.integer_valued
+    exp = LinearFunctional(rule, f"exp({f.name})", integer_valued=f.integer_valued)
+    return exp
+
+
+def _exp_s(coloop: Polynomial, loop: Polynomial, name: str) -> LinearFunctional:
+    """exp(s(coloop delta_coloop + loop delta_loop))."""
+    return conv_exp(
+        linear_combination([(S * coloop, delta_coloop()), (S * loop, delta_loop())], name)
     )
 
 
 @lru_cache(maxsize=None)
 def alpha_functional() -> LinearFunctional:
     """exp(s(coloop + (y-1) loop)) convolved with exp(s((x-1) coloop + loop))."""
-    first = conv_exp(
-        linear_combination(
-            [(S, delta_coloop()), (S * (Y - ONE), delta_loop())], "s{dc+(y-1)dl}"
-        )
+    return convolve(
+        _exp_s(ONE, Y - ONE, "s{dc+(y-1)dl}"), _exp_s(X - ONE, ONE, "s{(x-1)dc+dl}")
     )
-    second = conv_exp(
-        linear_combination(
-            [(S * (X - ONE), delta_coloop()), (S, delta_loop())], "s{(x-1)dc+dl}"
-        )
-    )
-    return convolve(first, second)
 
 
 @lru_cache(maxsize=None)
 def alpha_four_factor_functional() -> LinearFunctional:
     """Four-factor form: the pair of mutually inverse middle exponentials inserted."""
-    factors = [
-        linear_combination(
-            [(S, delta_coloop()), (S * (Y - ONE), delta_loop())], "s{dc+(y-1)dl}"
-        ),
-        linear_combination(
-            [(-1 * S, delta_coloop()), (S, delta_loop())], "s{-dc+dl}"
-        ),
-        linear_combination(
-            [(S, delta_coloop()), (-1 * S, delta_loop())], "s{dc-dl}"
-        ),
-        linear_combination(
-            [(S * (X - ONE), delta_coloop()), (S, delta_loop())], "s{(x-1)dc+dl}"
-        ),
-    ]
-    out = conv_exp(factors[0])
-    for part in factors[1:]:
-        out = convolve(out, conv_exp(part))
+    out = _exp_s(ONE, Y - ONE, "s{dc+(y-1)dl}")
+    for coloop, loop, name in (
+        (-ONE, ONE, "s{-dc+dl}"),
+        (ONE, -ONE, "s{dc-dl}"),
+        (X - ONE, ONE, "s{(x-1)dc+dl}"),
+    ):
+        out = convolve(out, _exp_s(coloop, loop, name))
     return out
 
 

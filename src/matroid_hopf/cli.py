@@ -57,10 +57,11 @@ def parse_expression(text: str) -> Matroid:
         body = (m.group(2) or "").strip()
         if body:
             for part in body.split(","):
-                ends = part.strip().split("-")
-                if len(ends) != 2:
-                    raise InputError(f"bad edge {part.strip()!r}, expected 'u-w'")
-                edges.append((int(ends[0]), int(ends[1])))
+                try:
+                    u, w = (int(end) for end in part.strip().split("-"))
+                except ValueError:
+                    raise InputError(f"bad edge {part.strip()!r}, expected 'u-w'") from None
+                edges.append((u, w))
         if len(edges) > MAX_GROUND_SET:
             raise GroundSetTooLarge(len(edges))
         return graphic(vertex_count, edges)
@@ -199,6 +200,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     out = Emitter(getattr(args, "json", False))
+    if args.command in ("verify", "enumerate") and args.max_n > MAX_CATALOG_N:
+        raise CatalogTooLarge(args.max_n)
     if args.command == "show":
         m = _matroid_from_args(args)
         key = canonical_key(m)

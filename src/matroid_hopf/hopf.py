@@ -5,12 +5,12 @@ ground-set subsets A of (restriction to A) tensor (contraction of A); the
 restriction-deletion coproduct replaces the contraction with the deletion.
 Both extend multiplicatively to monomials.  One kernel, ``_subset_sum``,
 takes that sum over given subsets A: all of them for the coproduct, the
-proper nonempty ones for the reduced coproduct, the split halves and the
-antipode.  It computes each restriction's monomial once per call; in the
+proper nonempty ones for the reduced coproduct and the split halves.  It
+computes each restriction's monomial once per call; in the
 restriction-deletion case M\\A = M|(E - A) comes from the same table.  The
-restriction-deletion bialgebra is a Hopf algebra; its antipode is
-S(m) = -m - sum c S(a) b over the grouped terms c a (x) b of the reduced
-coproduct of m, memoized per monomial.
+restriction-deletion bialgebra is a commutative Hopf algebra, so its
+antipode S is multiplicative; on a connected class S(m) = -sum c S(a) b over
+the terms c a (x) b of the memoized monomial coproduct of m with a != m.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class CoproductMode(Enum):
     RD = "rd"
 
 
-def _check_size(matroid: Matroid) -> None:
+def _check_size(matroid: Matroid | IsoKey) -> None:
     if matroid.n > MAX_GROUND_SET:
         raise GroundSetTooLarge(matroid.n)
 
@@ -128,11 +128,10 @@ _antipode_cache: dict[Monomial, ModuleElement] = {}
 def antipode_rd(key: IsoKey) -> ModuleElement:
     """Antipode of a matroid class in the restriction-deletion Hopf algebra.
 
-    S(1) = 1 and S(M) = -M - sum over proper nonempty A of S(M|A) . (M\\A),
-    with equal terms grouped and S memoized per monomial.
+    S(1) = 1, S is multiplicative, and S(m) = -sum c S(a) b over the terms
+    c a (x) b of the coproduct of a connected m with a != m; memoized.
     """
-    if key.n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(key.n)
+    _check_size(key)
     return _antipode(Monomial.from_matroid(key.matroid()))
 
 
@@ -140,23 +139,24 @@ def _antipode(m: Monomial) -> ModuleElement:
     hit = _antipode_cache.get(m)
     if hit is not None:
         return hit
-    result = ModuleElement.one() if m.is_unit else -ModuleElement.from_monomial(m)
-    matroid = m.matroid()
-    reduced = _subset_sum(CoproductMode.RD, matroid, range(1, matroid.full_mask))
-    for (a, b), c in reduced.terms.items():
-        result = result - c * module_product(_antipode(a), ModuleElement.from_monomial(b))
+    if len(m.factors) == 1:
+        result = ModuleElement.zero()
+        for (a, b), c in coproduct_monomial(CoproductMode.RD, m).terms.items():
+            if a != m:
+                result = result - c * module_product(_antipode(a), ModuleElement.from_monomial(b))
+    else:
+        result = ModuleElement.one()
+        for key in m.factors:
+            result = module_product(result, _antipode(Monomial((key,))))
     _antipode_cache[m] = result
     return result
 
 
 def antipode_element(e: ModuleElement) -> ModuleElement:
-    """Linear and multiplicative extension of the antipode to elements."""
+    """Linear extension of the antipode to elements."""
     out = ModuleElement.zero()
     for m, c in e.terms.items():
-        acc = ModuleElement.one()
-        for key in m.factors:
-            acc = module_product(acc, antipode_rd(key))
-        out = out + c * acc
+        out = out + c * _antipode(m)
     return out
 
 
@@ -164,10 +164,9 @@ def convolve_antipode_identity(matroid: Matroid, antipode_side: Literal["left", 
     """Multiply after (S (x) Id) or (Id (x) S) applied to the RD coproduct."""
     out = ModuleElement.zero()
     for (a, b), c in coproduct(CoproductMode.RD, matroid).terms.items():
-        a, b = ModuleElement.from_monomial(a), ModuleElement.from_monomial(b)
         if antipode_side == "left":
-            a = antipode_element(a)
+            a, b = _antipode(a), ModuleElement.from_monomial(b)
         else:
-            b = antipode_element(b)
+            a, b = ModuleElement.from_monomial(a), _antipode(b)
         out = out + c * module_product(a, b)
     return out

@@ -352,8 +352,11 @@ def graphic(vertex_count: int, edges) -> Matroid:
             raise BadVertexIndex(
                 f"edge ({u},{v}) exceeds vertex count {vertex_count}"
             )
+    # relabel the endpoints that occur to 0..k-1, so isolated vertices cost nothing
+    index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    edges = [(index[u], index[v]) for u, v in edges]
     m = len(edges)
-    fam = [s for s in range(1 << m) if _is_forest(vertex_count, edges, s)]
+    fam = [s for s in range(1 << m) if _is_forest(len(index), edges, s)]
     return Matroid(m, tuple(fam))
 
 

@@ -360,13 +360,14 @@ def check_recursions(reps) -> CheckResult:
 
 
 def check_monomial_form(reps) -> CheckResult:
+    polys = [poly_P(m) for m in reps]
     count = 0
-    for m in reps:
+    for m, p in zip(reps, polys):
         count += 1
-        if poly_P(m) != poly_P_closed_form(m):
+        if p != poly_P_closed_form(m):
             return CheckResult("monomial-closed-form", False, f"fails on {m}")
-        for other in reps:
-            if poly_P(m.direct_sum(other)) != poly_P(m) * poly_P(other):
+        for other, q in zip(reps, polys):
+            if poly_P(m.direct_sum(other)) != p * q:
                 return CheckResult(
                     "monomial-closed-form", False, f"product fails on {m},{other}"
                 )

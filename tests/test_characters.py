@@ -1,7 +1,11 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from matroid_hopf import (
     GroundSetTooLarge,
+    LinearFunctional,
     Monomial,
     NotInfinitesimal,
     Polynomial,
@@ -19,7 +23,7 @@ from matroid_hopf import (
     poly_P_recursion_check,
     uniform,
 )
-from matroid_hopf.characters import alpha_of_monomial
+from matroid_hopf.characters import alpha_of_monomial, indicator
 from matroid_hopf.formal import ONE, S, X, Y, ZERO
 from matroid_hopf.matroid import BadElement
 
@@ -97,6 +101,46 @@ class TestConvExp:
         f = conv_exp(linear_combination([(S, delta_coloop()), (S, delta_loop())]))
         for m in catalog_reps:
             assert f(mono(m)).has_integer_coefficients()
+
+    def test_integrality_violation_raises(self):
+        loop = mono(uniform(0, 1))
+        half_on_loop = LinearFunctional(
+            lambda m: Polynomial.constant(Fraction(1, 2)) if m == loop else ZERO,
+            "half_on_loop",
+            integer_valued=True,
+        )
+        with pytest.raises(AssertionError):
+            conv_exp(half_on_loop)(loop)
+
+    def test_matches_truncated_series(self, catalog_reps):
+        # the definition: sum over k <= deg(m) of f^{*k}(m) / k!
+        monomials = [mono(m) for m in catalog_reps]
+        monomials += [
+            mono(a) * mono(b) for a in catalog_reps for b in catalog_reps if a.n + b.n <= 6
+        ]
+        # every functional the package exponentiates (alpha's four factors and
+        # the closed-form check's), plus one supported in degree 2
+        functionals = [
+            linear_combination([(coloop, delta_coloop()), (loop, delta_loop())])
+            for coloop, loop in [
+                (S, S * (Y - ONE)),
+                (-1 * S, S),
+                (S, -1 * S),
+                (S * (X - ONE), S),
+                (X, Y),
+            ]
+        ]
+        functionals.append(indicator(uniform(1, 2), "delta_u12"))
+        for f in functionals:
+            powers = [conv_unit()]
+            while len(powers) <= 6:
+                powers.append(convolve(powers[-1], f))
+            exp = conv_exp(f)
+            for m in monomials:
+                series = ZERO
+                for k in range(m.degree + 1):
+                    series = series + powers[k](m) / factorial(k)
+                assert exp(m) == series
 
 
 class TestAlpha:

@@ -27,8 +27,9 @@ class TestExpressionParser:
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             parse_expression("octopus(3)")
-        with pytest.raises(InputError):
-            parse_expression("graphic(2; 0+1)")
+        for text in ("graphic(2; 0+1)", "graphic(3; 0-a)", "graphic(3; 0-)"):
+            with pytest.raises(InputError):
+                parse_expression(text)
 
     def test_rejects_oversized_before_building(self):
         with pytest.raises(GroundSetTooLarge):
@@ -162,14 +163,24 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "30" in err
 
-    @pytest.mark.parametrize("command", ["verify", "enumerate"])
-    def test_negative_max_n(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, max_n, reason",
+        [
+            pytest.param("verify", "-1", "--max-n", id="verify"),
+            pytest.param("enumerate", "-1", "--max-n", id="enumerate"),
+            pytest.param("verify", "5", "size 4, got 5", id="verify-5"),
+            pytest.param("enumerate", "5", "size 4, got 5", id="enumerate-5"),
+        ],
+    )
+    def test_negative_max_n(self, capsys, tmp_path, command, max_n, reason):
+        # rejected before any enumeration or cache write
         code, out, err = run(
-            capsys, command, "--max-n", "-1", "--cache-dir", str(tmp_path)
+            capsys, command, "--max-n", max_n, "--cache-dir", str(tmp_path)
         )
         assert code == 2
         assert out == ""
-        assert "--max-n" in err
+        assert reason in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
 

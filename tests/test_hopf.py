@@ -227,7 +227,8 @@ class TestAntipode:
             assert convolve_antipode_identity(m, "right") == expected
 
     def test_multiplicative_consistency(self, catalog_reps):
-        # recursion on a direct sum equals the product of factor antipodes
+        # antipode_rd of a direct-sum class agrees with antipode_element of the
+        # product monomial; both reach _antipode's multiplicative path
         small = [m for m in catalog_reps if 1 <= m.n <= 2]
         for m1 in small:
             for m2 in small:
@@ -242,7 +243,16 @@ class TestAntipode:
         # Fubini numbers: ordered set partitions of a 4-set and a 5-set
         assert len(list(ordered_set_partitions(0b1111))) == 75
         assert len(list(ordered_set_partitions(0b11111))) == 541
-        for m in catalog_reps + [uniform(2, 5)]:
+        # the direct sums with 5 elements exercise the multiplicative path
+        nonempty = [m for m in catalog_reps if m.n]
+        sums = [
+            m1.direct_sum(m2)
+            for i, m1 in enumerate(nonempty)
+            for m2 in nonempty[i:]
+            if m1.n + m2.n == 5
+        ]
+        assert len(sums) == 66
+        for m in catalog_reps + [uniform(2, 5)] + sums:
             got = {}
             for term, c in antipode_rd(canonical_key(m)).terms.items():
                 code = orbit_code(term.matroid().independents, m.n)

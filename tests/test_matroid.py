@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import matroid_hopf
 from matroid_hopf import (
     AxiomViolation,
     BadElement,
@@ -117,6 +123,29 @@ class TestGraphic:
     def test_bad_vertex(self):
         with pytest.raises(BadVertexIndex):
             graphic(2, [(0, 2)])
+
+    def test_isolated_vertices_cost_nothing(self):
+        # A child process under a 1 GiB address-space limit: one union-find
+        # array over all 10**12 vertices would raise MemoryError there.
+        script = textwrap.dedent(
+            """
+            import resource
+            from matroid_hopf import graphic
+
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+            edges = [(0, 1), (1, 2), (0, 2)]
+            assert graphic(10**12, edges) == graphic(3, edges)
+            """
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
+        )
+        assert child.returncode == 0, child.stderr
 
 
 class TestRank:
