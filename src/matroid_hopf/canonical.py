@@ -46,6 +46,12 @@ class GroundSetTooLarge(ValueError):
         self.n = n
 
 
+def check_size(n: int) -> None:
+    """Raise GroundSetTooLarge for a ground set above MAX_GROUND_SET."""
+    if n > MAX_GROUND_SET:
+        raise GroundSetTooLarge(n)
+
+
 @total_ordering
 @dataclass(frozen=True)
 class IsoKey:
@@ -89,8 +95,7 @@ def canonical_key(matroid: Matroid) -> IsoKey:
     Pure and memoized by the raw family; the cache only ever stores the
     value the search would recompute, so concurrent use is safe.
     """
-    if matroid.n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(matroid.n)
+    check_size(matroid.n)
     cache_key = (matroid.n, matroid.independents)
     hit = _key_cache.get(cache_key)
     if hit is not None:
@@ -107,25 +112,8 @@ def canonical_key(matroid: Matroid) -> IsoKey:
 
 
 def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
-    """True iff the two matroids have equal canonical keys.
-
-    Cheap invariants (size, rank, loop count, independent-set counts per
-    cardinality) reject most non-isomorphic pairs before any search runs.
-    """
-    for m in (m1, m2):
-        if m.n > MAX_GROUND_SET:
-            raise GroundSetTooLarge(m.n)
-    if _invariants(m1) != _invariants(m2):
-        return False
+    """True iff the two matroids have equal canonical keys."""
     return canonical_key(m1) == canonical_key(m2)
-
-
-def _invariants(m: Matroid):
-    sizes = [0] * (m.n + 1)
-    for s in m.independents:
-        sizes[s.bit_count()] += 1
-    rank = m.rank() if m.n else 0
-    return (m.n, rank, m.loops().bit_count(), tuple(sizes))
 
 
 def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:

@@ -122,7 +122,8 @@ def save_cache(catalog: Catalog, cache_dir: Path | None = None) -> Path:
 
 
 def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
-    """Read a cached catalog; None when missing, stale, or unreadable."""
+    """Read a cached catalog; None when missing, stale, unreadable, or when its
+    records are not distinct classes on n elements."""
     path = cache_path(n, cache_dir)
     if not path.is_file():
         return None
@@ -131,13 +132,15 @@ def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
         header = json.loads(lines[0])
         if header.get("version") != CACHE_VERSION or header.get("n") != n:
             return None
-        keys = []
-        for line in lines[1 : header["count"] + 1]:
-            keys.append(canonical_key(Matroid.from_dict(json.loads(line))))
-        if len(keys) != header["count"]:
+        keys = {
+            canonical_key(Matroid.from_dict(json.loads(line)))
+            for line in lines[1 : header["count"] + 1]
+        }
+        # as many distinct classes as the header counts, all of size n
+        if len(keys) != header["count"] or any(key.n != n for key in keys):
             return None
         return Catalog(n, tuple(sorted(keys, key=IsoKey.sort_key)), header["labeled_count"])
-    except (ValueError, KeyError, IndexError):
+    except (ValueError, KeyError, IndexError, TypeError):
         return None
 
 

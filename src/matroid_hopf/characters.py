@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
+from .canonical import check_size
 from .formal import Monomial, Polynomial, ONE, S, X, Y, ZERO
-from .hopf import CoproductMode, _check_size, coproduct_monomial
-from .matroid import BadElement, Matroid, uniform
+from .hopf import CoproductMode, coproduct_monomial
+from .matroid import Matroid, uniform
 
 
 class NotInfinitesimal(ValueError):
@@ -173,7 +174,7 @@ def alpha_four_factor_functional() -> LinearFunctional:
 
 def alpha(matroid: Matroid) -> Polynomial:
     """The character value at a matroid class; equals s^|E| P_M(x, y)."""
-    _check_size(matroid)
+    check_size(matroid.n)
     return alpha_functional()(Monomial.from_matroid(matroid))
 
 
@@ -191,7 +192,7 @@ def poly_P(matroid: Matroid) -> Polynomial:
     The walk visits every subset but groups them by (c(A), l(A)), so the
     polynomial arithmetic is done once per distinct pair.
     """
-    _check_size(matroid)
+    check_size(matroid.n)
     loops = matroid.loops()
     nonloops = matroid.full_mask & ~loops
     pairs = Counter(
@@ -229,7 +230,5 @@ def poly_P_recursion_check(matroid: Matroid, e: int) -> bool:
     Deleting a loop multiplies the invariant by y; deleting any other
     element multiplies it by x.
     """
-    if not 0 <= e < matroid.n:
-        raise BadElement(f"element {e} outside ground set of size {matroid.n}")
     factor = Y if matroid.is_loop(e) else X
     return poly_P(matroid) == factor * poly_P(matroid.delete(1 << e))

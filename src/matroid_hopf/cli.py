@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .canonical import GroundSetTooLarge, MAX_GROUND_SET, canonical_key
+from .canonical import GroundSetTooLarge, canonical_key, check_size
 from .catalog import (
     CatalogTooLarge,
     MAX_CATALOG_N,
@@ -27,7 +27,16 @@ from .characters import alpha, poly_P
 from .dendriform import EmptyMatroidError, split
 from .formal import Monomial
 from .hopf import CoproductMode, antipode_rd, coproduct
-from .matroid import AxiomViolation, BadVertexIndex, InvalidRank, Matroid, mask_of
+from .matroid import (
+    AxiomViolation,
+    BadVertexIndex,
+    InvalidRank,
+    Matroid,
+    graphic,
+    mask_of,
+    uniform,
+    validate,
+)
 from .verify import run_all
 
 
@@ -41,14 +50,11 @@ _GRAPHIC_RE = re.compile(r"^graphic\(\s*(\d+)\s*(?:;(.*))?\)$")
 
 def parse_expression(text: str) -> Matroid:
     """uniform(r,n) or graphic(v; u1-w1, ...); no family beyond MAX_GROUND_SET."""
-    from .matroid import graphic, uniform
-
     text = text.strip()
     m = _UNIFORM_RE.match(text)
     if m:
         n = int(m.group(2))
-        if n > MAX_GROUND_SET:
-            raise GroundSetTooLarge(n)
+        check_size(n)
         return uniform(int(m.group(1)), n)
     m = _GRAPHIC_RE.match(text)
     if m:
@@ -62,8 +68,7 @@ def parse_expression(text: str) -> Matroid:
                 except ValueError:
                     raise InputError(f"bad edge {part.strip()!r}, expected 'u-w'") from None
                 edges.append((u, w))
-        if len(edges) > MAX_GROUND_SET:
-            raise GroundSetTooLarge(len(edges))
+        check_size(len(edges))
         return graphic(vertex_count, edges)
     raise InputError(
         f"cannot parse expression {text!r}; expected uniform(r,n) or "
@@ -89,9 +94,9 @@ def load_matroid_file(path: str) -> Matroid:
                 raise InputError(
                     f"{path}: element {e!r} is not an integer in [0, {n})"
                 )
-    from .matroid import validate
-
-    return validate(n, [mask_of(s) for s in sets])
+    m = validate(n, [mask_of(s) for s in sets])
+    check_size(m.n)
+    return m
 
 
 def _is_int(value) -> bool:
@@ -117,23 +122,53 @@ def _matroid_from_args(args) -> Matroid:
     raise InputError("one of --expr or --input is required")
 
 
-class Emitter:
-    """Collects output lines; text or one JSON object per line."""
+def _show(m: Matroid, mode):
+    key = canonical_key(m)
+    c, l = m.element_counts()
+    for name, value in (
+        ("n", str(m.n)),
+        ("rank", str(m.rank() if m.n else 0)),
+        ("independent-sets", str(len(m.independents))),
+        ("loops", str(l)),
+        ("non-loops", str(c)),
+        ("class", key.render()),
+        ("monomial", Monomial.from_matroid(m).render()),
+    ):
+        yield {"field": name, "value": value}, f"{name}: {value}"
 
-    def __init__(self, as_json: bool):
-        self.as_json = as_json
 
-    def emit(self, payload: dict, text: str) -> None:
-        if self.as_json:
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(text)
+def _split(m: Matroid, mode: CoproductMode):
+    halves = split(mode, m)
+    for name, tensor in (("prec", halves.prec), ("succ", halves.succ)):
+        text = tensor.render()
+        yield {"half": name, "result": text}, f"{name}: {text}"
 
 
-def _add_matroid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--expr", help="constructor expression, e.g. 'uniform(1,2)'")
-    parser.add_argument("--input", help="path to a matroid JSON file")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+def _result(value) -> list[tuple[dict, str]]:
+    text = value.render()
+    return [({"result": text}, text)]
+
+
+# name: (help text, takes --mode, function of the matroid and the mode or
+# None that yields the output lines as (JSON fields, text) pairs)
+COMMANDS = {
+    "show": ("ground set, rank, loops, isomorphism class", False, _show),
+    "coproduct": (
+        "full coproduct of a matroid", True, lambda m, mode: _result(coproduct(mode, m))
+    ),
+    "antipode": (
+        "restriction-deletion antipode",
+        False,
+        lambda m, mode: _result(antipode_rd(canonical_key(m))),
+    ),
+    "split": ("dendriform halves of the reduced coproduct", True, _split),
+    "poly": (
+        "the subset-sum polynomial invariant", False, lambda m, mode: _result(poly_P(m))
+    ),
+    "alpha": (
+        "the convolution character value", False, lambda m, mode: _result(alpha(m))
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,38 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matroid Hopf algebra computations with exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("show", help="ground set, rank, loops, isomorphism class")
-    _add_matroid_args(p)
-
-    p = sub.add_parser("coproduct", help="full coproduct of a matroid")
-    _add_matroid_args(p)
-    p.add_argument("--mode", choices=["rc", "rd"], default="rd")
-
-    p = sub.add_parser("antipode", help="restriction-deletion antipode")
-    _add_matroid_args(p)
-
-    p = sub.add_parser("split", help="dendriform halves of the reduced coproduct")
-    _add_matroid_args(p)
-    p.add_argument("--mode", choices=["rc", "rd"], default="rd")
-
-    p = sub.add_parser("poly", help="the subset-sum polynomial invariant")
-    _add_matroid_args(p)
-
-    p = sub.add_parser("alpha", help="the convolution character value")
-    _add_matroid_args(p)
-
-    p = sub.add_parser("verify", help="run every identity suite")
-    p.add_argument("--all", action="store_true", help="run all suites (default)")
-    p.add_argument("--max-n", type=_nonnegative_int, default=MAX_CATALOG_N)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cache-dir", default=None)
-
-    p = sub.add_parser("enumerate", help="write catalog cache files")
-    p.add_argument("--max-n", type=_nonnegative_int, default=MAX_CATALOG_N)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cache-dir", default=None)
-
+    for name, (help_text, takes_mode, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--expr", help="constructor expression, e.g. 'uniform(1,2)'")
+        p.add_argument("--input", help="path to a matroid JSON file")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if takes_mode:
+            p.add_argument("--mode", choices=["rc", "rd"], default="rd")
+    verify = sub.add_parser("verify", help="run every identity suite")
+    verify.add_argument("--all", action="store_true", help="run all suites (default)")
+    catalog = sub.add_parser("enumerate", help="write catalog cache files")
+    for p in (verify, catalog):
+        p.add_argument("--max-n", type=_nonnegative_int, default=MAX_CATALOG_N)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--cache-dir", default=None)
     return parser
 
 
@@ -199,56 +216,20 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    out = Emitter(getattr(args, "json", False))
+    def emit(fields: dict, text: str) -> None:
+        if args.json:
+            print(json.dumps({"command": args.command, **fields}, sort_keys=True))
+        else:
+            print(text)
+
     if args.command in ("verify", "enumerate") and args.max_n > MAX_CATALOG_N:
         raise CatalogTooLarge(args.max_n)
-    if args.command == "show":
+    if args.command in COMMANDS:
+        _, takes_mode, lines = COMMANDS[args.command]
         m = _matroid_from_args(args)
-        key = canonical_key(m)
-        c, l = m.element_counts()
-        lines = [
-            ("n", str(m.n)),
-            ("rank", str(m.rank() if m.n else 0)),
-            ("independent-sets", str(len(m.independents))),
-            ("loops", str(l)),
-            ("non-loops", str(c)),
-            ("class", key.render()),
-            ("monomial", Monomial.from_matroid(m).render()),
-        ]
-        for name, value in lines:
-            out.emit({"command": "show", "field": name, "value": value}, f"{name}: {value}")
-        return 0
-    if args.command == "coproduct":
-        m = _matroid_from_args(args)
-        mode = CoproductMode(args.mode)
-        text = coproduct(mode, m).render()
-        out.emit({"command": "coproduct", "mode": args.mode, "result": text}, text)
-        return 0
-    if args.command == "antipode":
-        m = _matroid_from_args(args)
-        text = antipode_rd(canonical_key(m)).render()
-        out.emit({"command": "antipode", "result": text}, text)
-        return 0
-    if args.command == "split":
-        m = _matroid_from_args(args)
-        mode = CoproductMode(args.mode)
-        halves = split(mode, m)
-        for name, tensor in (("prec", halves.prec), ("succ", halves.succ)):
-            text = tensor.render()
-            out.emit(
-                {"command": "split", "mode": args.mode, "half": name, "result": text},
-                f"{name}: {text}",
-            )
-        return 0
-    if args.command == "poly":
-        m = _matroid_from_args(args)
-        text = poly_P(m).render()
-        out.emit({"command": "poly", "result": text}, text)
-        return 0
-    if args.command == "alpha":
-        m = _matroid_from_args(args)
-        text = alpha(m).render()
-        out.emit({"command": "alpha", "result": text}, text)
+        mode = CoproductMode(args.mode) if takes_mode else None
+        for fields, text in lines(m, mode):
+            emit({"mode": args.mode, **fields} if mode else fields, text)
         return 0
     if args.command == "verify":
         cache_dir = Path(args.cache_dir) if args.cache_dir else None
@@ -256,34 +237,31 @@ def _dispatch(args) -> int:
         width = max(len(r.name) for r in results)
         for r in results:
             status = "ok" if r.ok else "FAIL"
-            out.emit(
-                {"command": "verify", "check": r.name, "ok": r.ok, "detail": r.detail},
+            emit(
+                {"check": r.name, "ok": r.ok, "detail": r.detail},
                 f"{status:4} {r.name:<{width}}  {r.detail}",
             )
         passed = sum(r.ok for r in results)
         summary = f"{passed}/{len(results)} suites passed"
-        out.emit(
-            {"command": "verify", "summary": summary, "ok": passed == len(results)},
-            summary,
-        )
+        emit({"summary": summary, "ok": passed == len(results)}, summary)
         return 0 if passed == len(results) else 1
-    if args.command == "enumerate":
-        cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        for n in range(args.max_n + 1):
-            catalog = enumerate_matroids(n)
+    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+    for n in range(args.max_n + 1):
+        catalog = enumerate_matroids(n)
+        try:
             path = save_cache(catalog, cache_dir)
-            out.emit(
-                {
-                    "command": "enumerate",
-                    "n": n,
-                    "classes": len(catalog),
-                    "labeled": catalog.labeled_count,
-                    "path": str(path),
-                },
-                f"n={n}: {len(catalog)} classes ({catalog.labeled_count} labeled) -> {path}",
-            )
-        return 0
-    raise InputError(f"unknown command {args.command!r}")
+        except OSError as err:
+            raise InputError(f"cannot write the catalog cache to {cache_dir}: {err}")
+        emit(
+            {
+                "n": n,
+                "classes": len(catalog),
+                "labeled": catalog.labeled_count,
+                "path": str(path),
+            },
+            f"n={n}: {len(catalog)} classes ({catalog.labeled_count} labeled) -> {path}",
+        )
+    return 0
 
 
 def entry() -> None:

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import partial
 from typing import Literal
 
-from .canonical import GroundSetTooLarge, IsoKey, MAX_GROUND_SET
+from .canonical import IsoKey, check_size
 from .formal import Monomial, ModuleElement, TensorElement, module_product
 from .matroid import Matroid
 
@@ -29,14 +29,9 @@ class CoproductMode(Enum):
     RD = "rd"
 
 
-def _check_size(matroid: Matroid | IsoKey) -> None:
-    if matroid.n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(matroid.n)
-
-
 def _subset_sum(mode: CoproductMode, matroid: Matroid, subsets) -> TensorElement:
     """Sum over A in ``subsets`` of M|A (x) M\\A (RD) or M|A (x) M/A (RC)."""
-    _check_size(matroid)
+    check_size(matroid.n)
     full = matroid.full_mask
     table: dict[int, Monomial] = {}
 
@@ -100,25 +95,16 @@ def iterated_coproduct(
     )
 
 
-def apply_counit_left(t: TensorElement) -> ModuleElement:
-    """(counit (x) Id) collapsed to a module element; arity 2."""
+def apply_counit(t: TensorElement, leg: int) -> ModuleElement:
+    """The counit applied to leg 0 or 1 of an arity-2 tensor, keeping the
+    other leg: (counit (x) Id) for leg 0, (Id (x) counit) for leg 1."""
     if t.arity != 2:
         raise ValueError("expected an arity-2 tensor")
     out: dict[Monomial, int] = {}
-    for (a, b), c in t.terms.items():
-        if a.is_unit:
-            out[b] = out.get(b, 0) + c
-    return ModuleElement(out)
-
-
-def apply_counit_right(t: TensorElement) -> ModuleElement:
-    """(Id (x) counit) collapsed to a module element; arity 2."""
-    if t.arity != 2:
-        raise ValueError("expected an arity-2 tensor")
-    out: dict[Monomial, int] = {}
-    for (a, b), c in t.terms.items():
-        if b.is_unit:
-            out[a] = out.get(a, 0) + c
+    for legs, c in t.terms.items():
+        if legs[leg].is_unit:
+            kept = legs[1 - leg]
+            out[kept] = out.get(kept, 0) + c
     return ModuleElement(out)
 
 
@@ -131,7 +117,7 @@ def antipode_rd(key: IsoKey) -> ModuleElement:
     S(1) = 1, S is multiplicative, and S(m) = -sum c S(a) b over the terms
     c a (x) b of the coproduct of a connected m with a != m; memoized.
     """
-    _check_size(key)
+    check_size(key.n)
     return _antipode(Monomial.from_matroid(key.matroid()))
 
 

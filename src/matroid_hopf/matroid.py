@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 
 class AxiomViolation(ValueError):
@@ -246,7 +247,7 @@ class Matroid:
     def is_uniform(self) -> bool:
         """True iff every subset of size at most rank(E) is independent."""
         r = self.rank()
-        want = sum(_binom(self.n, i) for i in range(r + 1))
+        want = sum(comb(self.n, i) for i in range(r + 1))
         return len(self.independents) == want
 
     def to_dict(self) -> dict:
@@ -272,15 +273,6 @@ def _bits(mask: int):
         bit = mask & -mask
         yield bit
         mask ^= bit
-
-
-def _binom(n: int, k: int) -> int:
-    if not 0 <= k <= n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def validate(n: int, family) -> Matroid:

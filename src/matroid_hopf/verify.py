@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
-from .canonical import canonical_key
+from .canonical import all_permutation_key, canonical_key
 from .catalog import cached_catalog
 from .characters import (
     alpha,
@@ -31,8 +31,7 @@ from .dendriform import check_dendriform_axioms, codendriform_gap, reduced_copro
 from .formal import Monomial, ModuleElement, S, X, Y
 from .hopf import (
     CoproductMode,
-    apply_counit_left,
-    apply_counit_right,
+    apply_counit,
     convolve_antipode_identity,
     coproduct,
     coproduct_monomial,
@@ -53,6 +52,11 @@ def _representatives(max_n: int, cache_dir: Path | None) -> list[Matroid]:
     for n in range(max_n + 1):
         reps.extend(k.matroid() for k in cached_catalog(n, cache_dir).classes)
     return reps
+
+
+def _pairs(reps, limit: int):
+    """Ordered pairs of representatives with at most ``limit`` elements together."""
+    return ((m1, m2) for m1 in reps for m2 in reps if m1.n + m2.n <= limit)
 
 
 def check_axioms(reps) -> CheckResult:
@@ -142,26 +146,23 @@ def check_contraction_choice(reps) -> CheckResult:
     return CheckResult("contraction-choice", True, f"{count} bases tried")
 
 
-def check_direct_sum_compat(reps, limit: int = 5) -> CheckResult:
+def check_direct_sum_compat(reps) -> CheckResult:
     """Restriction and deletion commute with direct sums."""
     count = 0
-    for m1 in reps:
-        for m2 in reps:
-            if m1.n + m2.n > limit:
-                continue
-            s = m1.direct_sum(m2)
-            for a1 in range(1 << m1.n):
-                for a2 in range(1 << m2.n):
-                    count += 1
-                    both = a1 | a2 << m1.n
-                    if m1.restrict(a1).direct_sum(m2.restrict(a2)) != s.restrict(both):
-                        return CheckResult(
-                            "direct-sum-compat", False, f"restriction fails on {m1},{m2}"
-                        )
-                    if m1.delete(a1).direct_sum(m2.delete(a2)) != s.delete(both):
-                        return CheckResult(
-                            "direct-sum-compat", False, f"deletion fails on {m1},{m2}"
-                        )
+    for m1, m2 in _pairs(reps, 5):
+        s = m1.direct_sum(m2)
+        for a1 in range(1 << m1.n):
+            for a2 in range(1 << m2.n):
+                count += 1
+                both = a1 | a2 << m1.n
+                if m1.restrict(a1).direct_sum(m2.restrict(a2)) != s.restrict(both):
+                    return CheckResult(
+                        "direct-sum-compat", False, f"restriction fails on {m1},{m2}"
+                    )
+                if m1.delete(a1).direct_sum(m2.delete(a2)) != s.delete(both):
+                    return CheckResult(
+                        "direct-sum-compat", False, f"deletion fails on {m1},{m2}"
+                    )
     return CheckResult("direct-sum-compat", True, f"{count} subset pairs")
 
 
@@ -176,8 +177,6 @@ def check_dual_involution(reps) -> CheckResult:
 
 def check_canonical_oracle(reps) -> CheckResult:
     """Pruned canonical search equals the all-permutations minimum."""
-    from .canonical import all_permutation_key
-
     count = 0
     for m in reps:
         count += 1
@@ -218,25 +217,22 @@ def check_counit_laws(reps) -> CheckResult:
             count += 1
             t = coproduct(mode, m)
             expected = ModuleElement.from_matroid(m)
-            if apply_counit_left(t) != expected or apply_counit_right(t) != expected:
+            if apply_counit(t, 0) != expected or apply_counit(t, 1) != expected:
                 return CheckResult("counit-laws", False, f"{mode.value} fails on {m}")
     return CheckResult("counit-laws", True, f"{count} (class, mode) pairs")
 
 
-def check_multiplicativity(reps, limit: int = 5) -> CheckResult:
+def check_multiplicativity(reps) -> CheckResult:
     count = 0
-    for m1 in reps:
-        for m2 in reps:
-            if m1.n + m2.n > limit:
-                continue
-            count += 1
-            lhs = coproduct(CoproductMode.RD, m1.direct_sum(m2))
-            rhs = coproduct_monomial(
-                CoproductMode.RD,
-                Monomial.from_matroid(m1) * Monomial.from_matroid(m2),
-            )
-            if lhs != rhs:
-                return CheckResult("multiplicativity", False, f"fails on {m1},{m2}")
+    for m1, m2 in _pairs(reps, 5):
+        count += 1
+        lhs = coproduct(CoproductMode.RD, m1.direct_sum(m2))
+        rhs = coproduct_monomial(
+            CoproductMode.RD,
+            Monomial.from_matroid(m1) * Monomial.from_matroid(m2),
+        )
+        if lhs != rhs:
+            return CheckResult("multiplicativity", False, f"fails on {m1},{m2}")
     return CheckResult("multiplicativity", True, f"{count} pairs")
 
 
@@ -285,16 +281,14 @@ def check_dendriform(reps, mode: CoproductMode) -> CheckResult:
     return CheckResult(name, True, f"{count} classes")
 
 
-def check_codendriform_witness(reps, limit: int = 4) -> CheckResult:
-    for m1 in reps:
-        for m2 in reps:
-            if 0 < m1.n and 0 < m2.n and m1.n + m2.n <= limit:
-                if codendriform_gap(m1, m2):
-                    return CheckResult(
-                        "codendriform-gap",
-                        True,
-                        f"nonzero gap at ({canonical_key(m1)}, {canonical_key(m2)})",
-                    )
+def check_codendriform_witness(reps) -> CheckResult:
+    for m1, m2 in _pairs(reps, 4):
+        if 0 < m1.n and 0 < m2.n and codendriform_gap(m1, m2):
+            return CheckResult(
+                "codendriform-gap",
+                True,
+                f"nonzero gap at ({canonical_key(m1)}, {canonical_key(m2)})",
+            )
     return CheckResult("codendriform-gap", False, "no witness pair found")
 
 
@@ -327,16 +321,13 @@ def check_alpha_four_factor(reps) -> CheckResult:
     return CheckResult("alpha-four-factor", True, f"{count} classes")
 
 
-def check_alpha_character(reps, limit: int = 4) -> CheckResult:
+def check_alpha_character(reps) -> CheckResult:
     count = 0
-    for m1 in reps:
-        for m2 in reps:
-            if m1.n + m2.n > limit:
-                continue
-            count += 1
-            m = Monomial.from_matroid(m1) * Monomial.from_matroid(m2)
-            if alpha_of_monomial(m) != alpha(m1) * alpha(m2):
-                return CheckResult("alpha-character", False, f"fails on {m1},{m2}")
+    for m1, m2 in _pairs(reps, 4):
+        count += 1
+        m = Monomial.from_matroid(m1) * Monomial.from_matroid(m2)
+        if alpha_of_monomial(m) != alpha(m1) * alpha(m2):
+            return CheckResult("alpha-character", False, f"fails on {m1},{m2}")
     return CheckResult("alpha-character", True, f"{count} pairs")
 
 

@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import subprocess
 import sys
@@ -100,6 +101,22 @@ class TestCache:
 
     def test_cached_catalog_falls_back_to_enumeration(self, tmp_path, catalogs):
         assert cached_catalog(3, tmp_path) == catalogs[3]
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param(uniform(1, 2).to_dict(), id="wrong-size"),
+            pytest.param(uniform(2, 4).to_dict(), id="repeated-class"),
+            pytest.param([0, 1], id="not-an-object"),
+        ],
+    )
+    def test_records_must_be_distinct_classes_of_size_n(self, tmp_path, catalogs, record):
+        # the genuine n = 4 header over 17 copies of one record
+        path = save_cache(catalogs[4], tmp_path)
+        header = path.read_text().splitlines()[0]
+        path.write_text("\n".join([header] + [json.dumps(record)] * 17) + "\n")
+        assert load_cache(4, tmp_path) is None
+        assert cached_catalog(4, tmp_path) == enumerate_matroids(4)
 
     def test_failed_write_keeps_previous_cache(self, tmp_path, catalogs):
         path = save_cache(catalogs[4], tmp_path)

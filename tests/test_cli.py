@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import matroid_hopf
 from matroid_hopf.cli import main, parse_expression
 from matroid_hopf import uniform, graphic
 from matroid_hopf.canonical import GroundSetTooLarge
@@ -144,15 +150,35 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
 
-    @pytest.mark.parametrize("command", ["poly", "alpha"])
-    def test_ground_set_guard(self, capsys, tmp_path, command):
-        # 40 loops: without the guard this walks 2^40 subsets
+    @pytest.mark.parametrize(
+        "command", ["show", "coproduct", "antipode", "split", "poly", "alpha"]
+    )
+    def test_ground_set_guard(self, tmp_path, command):
+        # 10**6 loops, run in a child under a 10 s CPU limit: any per-element
+        # pass before the guard is quadratic or worse, and 2^n without it
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({"n": 40, "independent": [[]]}))
-        code, out, err = run(capsys, command, "--input", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "40" in err
+        path.write_text(json.dumps({"n": 10**6, "independent": [[]]}))
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from matroid_hopf.cli import main
+
+            _, hard = resource.getrlimit(resource.RLIMIT_CPU)
+            resource.setrlimit(resource.RLIMIT_CPU, (10, hard))
+            sys.exit(main(sys.argv[1:]))
+            """
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script, command, "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+        assert "1000000" in child.stderr
 
     def test_oversized_expression_exits_before_building(self, capsys):
         # 30 edges: building the family first would walk 2^30 edge subsets
@@ -172,8 +198,13 @@ class TestErrors:
             pytest.param("enumerate", "5", "size 4, got 5", id="enumerate-5"),
         ],
     )
-    def test_negative_max_n(self, capsys, tmp_path, command, max_n, reason):
+    def test_negative_max_n(self, capsys, tmp_path, monkeypatch, command, max_n, reason):
         # rejected before any enumeration or cache write
+        def enumerated(*args):
+            pytest.fail(f"{command} --max-n {max_n} enumerated a catalog")
+
+        monkeypatch.setattr("matroid_hopf.cli.enumerate_matroids", enumerated)
+        monkeypatch.setattr("matroid_hopf.verify.cached_catalog", enumerated)
         code, out, err = run(
             capsys, command, "--max-n", max_n, "--cache-dir", str(tmp_path)
         )
@@ -182,6 +213,17 @@ class TestErrors:
         assert reason in err
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
+
+    def test_unusable_cache_dir(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "enumerate", "--max-n", "1", "--cache-dir", str(blocker)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
 
 
 class TestVerifyAndEnumerate:

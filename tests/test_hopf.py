@@ -17,8 +17,7 @@ from matroid_hopf import (
     uniform,
 )
 from matroid_hopf.hopf import (
-    apply_counit_left,
-    apply_counit_right,
+    apply_counit,
     convolve_antipode_identity,
 )
 
@@ -136,8 +135,8 @@ class TestCounit:
             for mode in CoproductMode:
                 t = coproduct(mode, m)
                 expected = ModuleElement.from_matroid(m)
-                assert apply_counit_left(t) == expected
-                assert apply_counit_right(t) == expected
+                assert apply_counit(t, 0) == expected
+                assert apply_counit(t, 1) == expected
 
 
 class TestIteratedCoproduct:
