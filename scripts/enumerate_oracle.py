@@ -20,7 +20,11 @@ from oracles import unpruned_counts  # noqa: E402
 
 
 def main():
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+    try:
+        max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+    except ValueError:
+        print("usage: python scripts/enumerate_oracle.py [max_n]", file=sys.stderr)
+        sys.exit(2)
     for n in range(max_n + 1):
         labeled, classes = unpruned_counts(n)
         print(f"n={n}: labeled={labeled} classes={classes}")

@@ -20,6 +20,9 @@ from .canonical import IsoKey, canonical_key
 from .matroid import Matroid, elements_of, mask_of, submasks
 
 MAX_CATALOG_N = 4
+# (classes, labeled matroids) on n elements for every n <= MAX_CATALOG_N
+# (OEIS A055545, A058673); a cache header must agree with its row.
+KNOWN_COUNTS = {0: (1, 1), 1: (2, 2), 2: (4, 5), 3: (8, 16), 4: (17, 68)}
 CACHE_VERSION = 1
 CACHE_ENV_VAR = "MATROID_HOPF_CACHE_DIR"
 
@@ -122,8 +125,9 @@ def save_cache(catalog: Catalog, cache_dir: Path | None = None) -> Path:
 
 
 def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
-    """Read a cached catalog; None when missing, stale, unreadable, or when its
-    records are not distinct classes on n elements."""
+    """Read a cached catalog; None when missing, stale, unreadable, when its
+    header's counts differ from ``KNOWN_COUNTS``, or when its records are not
+    distinct classes on n elements."""
     path = cache_path(n, cache_dir)
     if not path.is_file():
         return None
@@ -131,6 +135,8 @@ def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         if header.get("version") != CACHE_VERSION or header.get("n") != n:
+            return None
+        if (header["count"], header["labeled_count"]) != KNOWN_COUNTS.get(n):
             return None
         keys = {
             canonical_key(Matroid.from_dict(json.loads(line)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import comb
 
 from .canonical import check_size
 from .formal import Monomial, Polynomial, ONE, S, X, Y, ZERO
@@ -189,8 +190,10 @@ def alpha_four_factor(matroid: Matroid) -> Polynomial:
 def poly_P(matroid: Matroid) -> Polynomial:
     """Subset sum of (x-1)^(c(E)-c(A)) (y-1)^(l(A)) over all subsets A.
 
-    The walk visits every subset but groups them by (c(A), l(A)), so the
-    polynomial arithmetic is done once per distinct pair.
+    The walk visits every subset but groups them by (c(A), l(A)).  A pair
+    seen k times with a = c(E)-c(A) and l = l(A) adds
+    k C(a,i) (-1)^(a-i) C(l,j) (-1)^(l-j) to the integer coefficient of
+    x^i y^j; one polynomial is built from those coefficients at the end.
     """
     check_size(matroid.n)
     loops = matroid.loops()
@@ -200,12 +203,15 @@ def poly_P(matroid: Matroid) -> Polynomial:
         for a in range(1 << matroid.n)
     )
     c_total = nonloops.bit_count()
-    xm1 = X - ONE
-    ym1 = Y - ONE
-    out = ZERO
+    coeffs: dict[tuple[int, int, int], int] = {}
     for (c_a, l_a), k in pairs.items():
-        out = out + k * xm1 ** (c_total - c_a) * ym1**l_a
-    return out
+        a = c_total - c_a
+        for i in range(a + 1):
+            k_i = k * comb(a, i) * (-1) ** (a - i)
+            for j in range(l_a + 1):
+                term = k_i * comb(l_a, j) * (-1) ** (l_a - j)
+                coeffs[i, j, 0] = coeffs.get((i, j, 0), 0) + term
+    return Polynomial(coeffs)
 
 
 def poly_P_closed_form(matroid: Matroid) -> Polynomial:

@@ -21,7 +21,13 @@ from matroid_hopf import (
     uniform,
     validate,
 )
-from matroid_hopf.catalog import CACHE_ENV_VAR, cache_path, default_cache_dir
+from matroid_hopf.catalog import (
+    CACHE_ENV_VAR,
+    KNOWN_COUNTS,
+    MAX_CATALOG_N,
+    cache_path,
+    default_cache_dir,
+)
 
 from oracles import unpruned_counts
 
@@ -31,9 +37,11 @@ GOLDEN_LABELED = {0: 1, 1: 2, 2: 5, 3: 16, 4: 68}
 
 
 def test_counts_match_frozen_goldens(catalogs):
+    assert sorted(KNOWN_COUNTS) == list(range(MAX_CATALOG_N + 1))
     for n in range(5):
         assert len(catalogs[n]) == GOLDEN_CLASSES[n]
         assert catalogs[n].labeled_count == GOLDEN_LABELED[n]
+        assert KNOWN_COUNTS[n] == (GOLDEN_CLASSES[n], GOLDEN_LABELED[n])
 
 
 def test_counts_match_live_oracle(catalogs):
@@ -117,6 +125,25 @@ class TestCache:
         path.write_text("\n".join([header] + [json.dumps(record)] * 17) + "\n")
         assert load_cache(4, tmp_path) is None
         assert cached_catalog(4, tmp_path) == enumerate_matroids(4)
+
+    def _rewrite_header(self, path, records, **fields):
+        lines = path.read_text().splitlines()
+        header = {**json.loads(lines[0]), **fields}
+        path.write_text("\n".join([json.dumps(header)] + lines[1 : records + 1]) + "\n")
+
+    def test_truncated_header_rejected(self, tmp_path, catalogs):
+        # a header counting one class, over one genuine 4-element record
+        path = save_cache(catalogs[4], tmp_path)
+        self._rewrite_header(path, 1, count=1)
+        assert load_cache(4, tmp_path) is None
+        assert cached_catalog(4, tmp_path) == catalogs[4]
+
+    def test_wrong_labeled_count_rejected(self, tmp_path, catalogs):
+        # every genuine record, but the header's labeled count is made up
+        path = save_cache(catalogs[4], tmp_path)
+        self._rewrite_header(path, 17, labeled_count=999)
+        assert load_cache(4, tmp_path) is None
+        assert cached_catalog(4, tmp_path) == catalogs[4]
 
     def test_failed_write_keeps_previous_cache(self, tmp_path, catalogs):
         path = save_cache(catalogs[4], tmp_path)

@@ -199,7 +199,23 @@ class TestPolyP:
     def test_matches_subset_sum_oracle(self, oracle_cases):
         for m in oracle_cases:
             want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
-            assert poly_P(m).terms == want
+            got = poly_P(m).terms
+            assert got == want
+            assert all(type(c) is int for c in got.values())
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            pytest.param(uniform(0, 10), id="U0,10"),
+            pytest.param(uniform(10, 10), id="U10,10"),
+            pytest.param(uniform(0, 5).direct_sum(uniform(5, 5)), id="U0,5+U5,5"),
+            pytest.param(uniform(2, 4).direct_sum(uniform(0, 3)), id="U2,4+U0,3"),
+        ],
+    )
+    def test_matches_oracle_at_the_extremes(self, m):
+        # the largest binomial coefficients and the most sign changes
+        want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
+        assert poly_P(m).terms == want
 
 
 class TestConvolutionIdentity:

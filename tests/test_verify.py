@@ -1,4 +1,5 @@
-from matroid_hopf.verify import run_all
+from matroid_hopf import uniform
+from matroid_hopf.verify import check_monomial_form, run_all
 
 
 def test_suite_outcomes_at_three_elements(tmp_path):
@@ -16,3 +17,12 @@ def test_results_are_deterministic(tmp_path):
     first = run_all(max_n=2, cache_dir=tmp_path)
     second = run_all(max_n=2, cache_dir=tmp_path)
     assert first == second
+
+
+def test_monomial_form_skips_pairs_over_the_ground_set_bound():
+    # 6 + 6 elements is over MAX_GROUND_SET = 10: four of the 16 ordered
+    # pairs are skipped and counted instead of raising GroundSetTooLarge
+    reps = [uniform(0, 0), uniform(1, 1), uniform(2, 6), uniform(0, 6)]
+    result = check_monomial_form(reps)
+    assert result.ok
+    assert result.detail == "4 classes plus witnesses; 4 pairs over 10 elements skipped"
