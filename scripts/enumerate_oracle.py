@@ -9,6 +9,9 @@ enumeration.  The counting itself is ``unpruned_counts`` in
 ``tests/oracles.py``, the oracle the test suite uses.
 
 Usage: python scripts/enumerate_oracle.py [max_n]
+
+``max_n`` is 0 to 4 (default 4); from n = 5 on the 2^(2^n) scan does not
+finish, so larger or negative values exit with status 2.
 """
 
 import sys
@@ -19,10 +22,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import unpruned_counts  # noqa: E402
 
 
+MAX_N = 4
+
+
 def main():
     try:
-        max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+        max_n = int(sys.argv[1]) if len(sys.argv) > 1 else MAX_N
     except ValueError:
+        max_n = None
+    if max_n not in range(MAX_N + 1):
         print("usage: python scripts/enumerate_oracle.py [max_n]", file=sys.stderr)
         sys.exit(2)
     for n in range(max_n + 1):

@@ -14,6 +14,8 @@ M|B (x) M|C (x) M|(E - B - C) over ordered pairs of disjoint nonempty
 independent sets B, C whose union is a dependent proper subset of E.  The
 pair does not satisfy the codendriform bialgebra compatibility, and the gap
 is computable.
+
+The kernel memoizes each of the three sums per (mode, subsets, class).
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ class EmptyMatroidError(ValueError):
 
 
 class SplitHalf(Enum):
-    PREC = "prec"
-    SUCC = "succ"
-    BOTH = "both"
+    """A half of the reduced coproduct, or both; the value names its subsets."""
+
+    PREC = "dependent"
+    SUCC = "independent"
+    BOTH = "proper"
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,7 @@ def split(mode: CoproductMode, matroid: Matroid) -> SplitPair:
 
 def _split_sum(mode: CoproductMode, matroid: Matroid, half: SplitHalf) -> TensorElement:
     _require_nonempty(matroid)
-    subsets = range(1, matroid.full_mask)
-    if half is not SplitHalf.BOTH:
-        independent = half is SplitHalf.SUCC
-        subsets = (a for a in subsets if matroid.is_independent(a) == independent)
-    return _subset_sum(mode, matroid, subsets)
+    return _subset_sum(mode, matroid, half.value)
 
 
 def _compose(

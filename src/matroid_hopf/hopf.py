@@ -4,9 +4,12 @@ The restriction-contraction coproduct sends a matroid to the sum over all
 ground-set subsets A of (restriction to A) tensor (contraction of A); the
 restriction-deletion coproduct replaces the contraction with the deletion.
 Both extend multiplicatively to monomials.  One kernel, ``_subset_sum``,
-takes that sum over given subsets A: all of them for the coproduct, the
-proper nonempty ones for the reduced coproduct and the split halves.  It
-computes each restriction's monomial once per call; in the
+takes that sum over a named family of subsets A: all of them for the
+coproduct, the proper nonempty ones for the reduced coproduct, the
+dependent or independent proper nonempty ones for the split halves.  The
+sum depends only on the isomorphism class, so it is memoized per (mode,
+subsets, class).  On a miss each restriction's monomial is computed once,
+the class monomial seeding the full set's entry; in the
 restriction-deletion case M\\A = M|(E - A) comes from the same table.  The
 restriction-deletion bialgebra is a commutative Hopf algebra, so its
 antipode S is multiplicative; on a connected class S(m) = -sum c S(a) b over
@@ -29,17 +32,38 @@ class CoproductMode(Enum):
     RD = "rd"
 
 
-def _subset_sum(mode: CoproductMode, matroid: Matroid, subsets) -> TensorElement:
-    """Sum over A in ``subsets`` of M|A (x) M\\A (RD) or M|A (x) M/A (RC)."""
+SubsetFamily = Literal["all", "proper", "dependent", "independent"]
+
+_subset_sum_cache: dict[tuple[CoproductMode, SubsetFamily, Monomial], TensorElement] = {}
+
+
+def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> TensorElement:
+    """Sum over A in the family ``which`` of M|A (x) M\\A (RD) or M|A (x) M/A (RC).
+
+    ``which`` is "all" subsets, the "proper" nonempty ones, or the
+    "dependent" or "independent" proper nonempty ones.
+    """
     check_size(matroid.n)
     full = matroid.full_mask
-    table: dict[int, Monomial] = {}
+    cls = Monomial.from_matroid(matroid)
+    memo_key = (mode, which, cls)
+    hit = _subset_sum_cache.get(memo_key)
+    if hit is not None:
+        return hit
+    table: dict[int, Monomial] = {full: cls}
 
     def restricted(mask: int) -> Monomial:
         if mask not in table:
             table[mask] = Monomial.from_matroid(matroid.restrict(mask))
         return table[mask]
 
+    if which == "all":
+        subsets = range(1 << matroid.n)
+    else:
+        subsets = range(1, full)
+        if which != "proper":
+            independent = which == "independent"
+            subsets = (a for a in subsets if matroid.is_independent(a) == independent)
     terms: dict[tuple[Monomial, ...], int] = {}
     for a in subsets:
         if mode is CoproductMode.RD:
@@ -48,19 +72,29 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, subsets) -> TensorElement
             right = Monomial.from_matroid(matroid.contract(a))
         legs = (restricted(a), right)
         terms[legs] = terms.get(legs, 0) + 1
-    return TensorElement(2, terms)
+    out = TensorElement(2, terms)
+    _subset_sum_cache[memo_key] = out
+    return out
 
 
 def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
     """Sum over all subsets A of restriction(A) tensor (deletion|contraction)(A)."""
-    return _subset_sum(mode, matroid, range(1 << matroid.n))
+    return _subset_sum(mode, matroid, "all")
 
 
 _coproduct_monomial_cache: dict[tuple[CoproductMode, Monomial], TensorElement] = {}
 
 
 def coproduct_monomial(mode: CoproductMode, m: Monomial) -> TensorElement:
-    """Multiplicative extension of the coproduct to monomials."""
+    """Multiplicative extension of the coproduct to monomials.
+
+    A one-factor monomial is the memoized coproduct of its class.  A
+    product of two or more factors is the legwise product of theirs,
+    memoized here and never taken from the kernel's memo, so that checks of
+    multiplicativity compare two separate computations.
+    """
+    if len(m.factors) == 1:
+        return coproduct(mode, m.factors[0].matroid())
     hit = _coproduct_monomial_cache.get((mode, m))
     if hit is not None:
         return hit

@@ -12,6 +12,7 @@ from matroid_hopf import (
     split,
     uniform,
 )
+from matroid_hopf import hopf
 
 from oracles import coproduct_terms, tensor_codes
 
@@ -73,6 +74,8 @@ class TestSplit:
         for m in oracle_cases:
             if m.n == 0:
                 continue
+            # each labeled input runs the kernel, not an isomorphic case's memo
+            hopf._subset_sum_cache.clear()
             fam, full = set(m.independents), (1 << m.n) - 1
 
             def prec(a):

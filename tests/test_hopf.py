@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from matroid_hopf import (
@@ -13,9 +15,13 @@ from matroid_hopf import (
     coproduct_element,
     coproduct_monomial,
     counit,
+    graphic,
     iterated_coproduct,
+    reduced_coproduct,
+    split,
     uniform,
 )
+from matroid_hopf import hopf
 from matroid_hopf.hopf import (
     apply_counit,
     convolve_antipode_identity,
@@ -84,6 +90,9 @@ class TestCoproduct:
 
     def test_matches_subset_oracle(self, oracle_cases):
         for m in oracle_cases:
+            # oracle_cases holds isomorphic labelings (m1 + m2 and m2 + m1);
+            # each must run the kernel, not take an earlier case's memo
+            hopf._subset_sum_cache.clear()
             for mode in CoproductMode:
                 want = coproduct_terms(m.independents, m.n, mode.value, lambda a: True)
                 assert tensor_codes(coproduct(mode, m)) == want
@@ -199,6 +208,49 @@ def test_cocommutativity_rd(catalog_reps):
 def test_rc_not_cocommutative():
     t = coproduct(CoproductMode.RC, uniform(1, 2))
     assert t.swap() != t
+
+
+def _subset_sums(m):
+    out = []
+    for mode in CoproductMode:
+        halves = split(mode, m)
+        out += [coproduct(mode, m), reduced_coproduct(mode, m), halves.prec, halves.succ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # a triangle with one edge doubled, a pendant edge and a self-loop
+        graphic(4, [(0, 1), (1, 2), (0, 2), (0, 1), (2, 3), (3, 3)]),
+        uniform(2, 4).direct_sum(uniform(0, 1)),
+    ],
+    ids=["triangle+parallel+coloop+loop", "U24+U01"],
+)
+def test_memoized_subset_sums_invariant_under_relabeling(m):
+    hopf._subset_sum_cache.clear()
+    want = _subset_sums(m)
+    # the reference values themselves must not have shared a wrong memo entry
+    full = m.full_mask
+    families = (
+        lambda a: True,
+        lambda a: 0 < a < full,
+        lambda a: 0 < a < full and not m.is_independent(a),
+        lambda a: 0 < a < full and m.is_independent(a),
+    )
+    assert [tensor_codes(t) for t in want] == [
+        coproduct_terms(m.independents, m.n, mode.value, keep)
+        for mode in CoproductMode
+        for keep in families
+    ]
+    # an automorphism gives back the same labeled matroid: check each once
+    relabelings = {r.independents: r for r in map(m.relabel, permutations(range(m.n)))}
+    for r in relabelings.values():
+        hopf._subset_sum_cache.clear()
+        got = _subset_sums(r)
+        assert got == want
+        # a second call on the same labeling is served from the memo
+        assert all(again is first for again, first in zip(_subset_sums(r), got))
 
 
 class TestAntipode:

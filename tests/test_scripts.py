@@ -37,9 +37,19 @@ def test_enumerate_oracle_counts():
     ]
 
 
-@pytest.mark.parametrize("arg", ["--help", "three", "2.5"])
-def test_enumerate_oracle_rejects_non_integer(arg):
+def assert_usage_error(arg):
     child = run_script("enumerate_oracle.py", arg)
     assert child.returncode == 2
     assert child.stdout == ""
     assert child.stderr.splitlines() == ["usage: python scripts/enumerate_oracle.py [max_n]"]
+
+
+@pytest.mark.parametrize("arg", ["--help", "three", "2.5"])
+def test_enumerate_oracle_rejects_non_integer(arg):
+    assert_usage_error(arg)
+
+
+@pytest.mark.parametrize("arg", ["-1", "5"])
+def test_enumerate_oracle_rejects_out_of_range(arg):
+    # 5 would start a scan of 2^32 families: it is refused before any counting
+    assert_usage_error(arg)

@@ -1,5 +1,5 @@
-from matroid_hopf import uniform
-from matroid_hopf.verify import check_monomial_form, run_all
+from matroid_hopf import Monomial, TensorElement, uniform, verify
+from matroid_hopf.verify import check_monomial_form, check_multiplicativity, run_all
 
 
 def test_suite_outcomes_at_three_elements(tmp_path):
@@ -26,3 +26,17 @@ def test_monomial_form_skips_pairs_over_the_ground_set_bound():
     result = check_monomial_form(reps)
     assert result.ok
     assert result.detail == "4 classes plus witnesses; 4 pairs over 10 elements skipped"
+
+
+def test_multiplicativity_catches_a_wrong_product_coproduct(monkeypatch, catalog_reps):
+    # the product side must not be read back from the memo of the direct sum
+    # side, or the check would compare a value with itself
+    real = verify.coproduct_monomial
+    spurious = TensorElement.from_term((Monomial.unit(), Monomial.unit()))
+
+    def wrong_on_products(mode, m):
+        out = real(mode, m)
+        return out + spurious if len(m.factors) >= 2 else out
+
+    monkeypatch.setattr(verify, "coproduct_monomial", wrong_on_products)
+    assert not check_multiplicativity(catalog_reps).ok
