@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import total_ordering
 from itertools import permutations
 
-from .matroid import Matroid, elements_of, mask_of
+from .matroid import Matroid
 
 MAX_GROUND_SET = 10
 
@@ -100,7 +100,7 @@ def canonical_key(matroid: Matroid) -> IsoKey:
     hit = _key_cache.get(cache_key)
     if hit is not None:
         return hit
-    rank = matroid.rank() if matroid.n else 0
+    rank = matroid.rank()
     if matroid.is_uniform():
         # every relabeling fixes a uniform family
         fam = matroid.independents
@@ -221,14 +221,4 @@ def _twin_classes(n: int, members: frozenset[int]) -> list[int]:
 
 def all_permutation_key(matroid: Matroid) -> tuple[int, ...]:
     """Reference canonical family via plain minimum over all n! relabelings."""
-    best = None
-    for perm in permutations(range(matroid.n)):
-        fam = tuple(
-            sorted(
-                mask_of(perm[e] for e in elements_of(s))
-                for s in matroid.independents
-            )
-        )
-        if best is None or fam < best:
-            best = fam
-    return best if best is not None else matroid.independents
+    return min(matroid.relabel(p).independents for p in permutations(range(matroid.n)))

@@ -184,6 +184,7 @@ def alpha_of_monomial(m: Monomial) -> Polynomial:
 
 
 def alpha_four_factor(matroid: Matroid) -> Polynomial:
+    check_size(matroid.n)
     return alpha_four_factor_functional()(Monomial.from_matroid(matroid))
 
 
@@ -221,13 +222,11 @@ def poly_P_closed_form(matroid: Matroid) -> Polynomial:
 
 
 def poly_P_convolution_rhs(matroid: Matroid) -> Polynomial:
-    """Sum over subsets A of P_{M|A}(0, y) P_{M\\A}(x, 0)."""
-    out = ZERO
-    for a in range(1 << matroid.n):
-        left = poly_P(matroid.restrict(a)).eval(x=0)
-        right = poly_P(matroid.delete(a)).eval(y=0)
-        out = out + left * right
-    return out
+    """Sum over subsets A of P_{M|A}(0, y) P_{M\\A}(x, 0), as an RD convolution."""
+    check_size(matroid.n)
+    f = LinearFunctional(lambda m: poly_P(m.matroid()).eval(x=0))
+    g = LinearFunctional(lambda m: poly_P(m.matroid()).eval(y=0))
+    return convolve(f, g)(Monomial.from_matroid(matroid))
 
 
 def poly_P_recursion_check(matroid: Matroid, e: int) -> bool:

@@ -127,7 +127,7 @@ def _show(m: Matroid, mode):
     c, l = m.element_counts()
     for name, value in (
         ("n", str(m.n)),
-        ("rank", str(m.rank() if m.n else 0)),
+        ("rank", str(key.rank)),
         ("independent-sets", str(len(m.independents))),
         ("loops", str(l)),
         ("non-loops", str(c)),

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import groupby
 
 from .canonical import IsoKey, canonical_key
 from .matroid import Matroid
@@ -25,9 +26,6 @@ from .matroid import Matroid
 
 class ArityMismatch(ValueError):
     pass
-
-
-_VARS = ("x", "y", "s")
 
 
 class Polynomial:
@@ -50,12 +48,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c) -> Polynomial:
         return cls({(0, 0, 0): c})
-
-    @classmethod
-    def variable(cls, name: str) -> Polynomial:
-        i = _VARS.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(3))
-        return cls({exps: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -189,9 +181,9 @@ def _promote(value):
 
 ZERO = Polynomial()
 ONE = Polynomial.constant(1)
-X = Polynomial.variable("x")
-Y = Polynomial.variable("y")
-S = Polynomial.variable("s")
+X = Polynomial({(1, 0, 0): 1})
+Y = Polynomial({(0, 1, 0): 1})
+S = Polynomial({(0, 0, 1): 1})
 
 
 @total_ordering
@@ -257,18 +249,11 @@ class Monomial:
         return out
 
     def render(self) -> str:
-        if not self.factors:
-            return "1"
         parts = []
-        i = 0
-        while i < len(self.factors):
-            j = i
-            while j < len(self.factors) and self.factors[j] == self.factors[i]:
-                j += 1
-            text = self.factors[i].render()
-            parts.append(text if j - i == 1 else f"{text}^{j - i}")
-            i = j
-        return ".".join(parts)
+        for key, run in groupby(self.factors):
+            k = len(list(run))
+            parts.append(key.render() if k == 1 else f"{key.render()}^{k}")
+        return ".".join(parts) or "1"
 
     def __str__(self) -> str:
         return self.render()

@@ -104,8 +104,7 @@ class Matroid:
         return max(s.bit_count() for s in self.independents if s & ~mask == 0)
 
     def bases(self) -> tuple[int, ...]:
-        r = self.rank()
-        return tuple(s for s in self.independents if s.bit_count() == r)
+        return self.maximal_independent_subsets(self.full_mask)
 
     def is_loop(self, e: int) -> bool:
         self._check_element(e)

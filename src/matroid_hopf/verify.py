@@ -147,7 +147,7 @@ def check_contraction_choice(reps) -> CheckResult:
 
 
 def check_direct_sum_compat(reps) -> CheckResult:
-    """Restriction and deletion commute with direct sums."""
+    """Restriction and deletion commute with direct sums of at most 5 elements."""
     count = 0
     for m1, m2 in _pairs(reps, 5):
         s = m1.direct_sum(m2)
@@ -223,6 +223,9 @@ def check_counit_laws(reps) -> CheckResult:
 
 
 def check_multiplicativity(reps) -> CheckResult:
+    """The RD coproduct is multiplicative on direct sums of at most 5 elements.
+    Pairs with the empty class are the unit law; with a connected class both
+    sides there are the same memo entry."""
     count = 0
     for m1, m2 in _pairs(reps, 5):
         count += 1
@@ -322,6 +325,7 @@ def check_alpha_four_factor(reps) -> CheckResult:
 
 
 def check_alpha_character(reps) -> CheckResult:
+    """alpha is multiplicative on direct sums of at most 4 elements."""
     count = 0
     for m1, m2 in _pairs(reps, 4):
         count += 1

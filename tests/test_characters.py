@@ -163,6 +163,13 @@ class TestAlpha:
         for m in catalog_reps:
             assert alpha_four_factor(m) == alpha(m)
 
+    def test_size_limit_in_both_forms(self):
+        # eleven loops split into one-element classes, so only an explicit
+        # check stops the four-factor form
+        for f in (alpha, alpha_four_factor):
+            with pytest.raises(GroundSetTooLarge):
+                f(uniform(0, 11))
+
     def test_character_property(self, catalog_reps):
         small = [m for m in catalog_reps if m.n <= 2]
         for m1 in small:
@@ -181,8 +188,9 @@ class TestPolyP:
         assert poly_P(uniform(0, 0)) == ONE
 
     def test_size_limit(self):
-        # checked before any subset walk, or components() for alpha
-        for f in (poly_P, alpha):
+        # checked before any subset walk, or components() for alpha and the
+        # convolution
+        for f in (poly_P, alpha, poly_P_convolution_rhs):
             with pytest.raises(GroundSetTooLarge):
                 f(uniform(0, 40))
 

@@ -1,5 +1,36 @@
 from matroid_hopf import Monomial, TensorElement, uniform, verify
-from matroid_hopf.verify import check_monomial_form, check_multiplicativity, run_all
+from matroid_hopf.verify import CheckResult, check_monomial_form, check_multiplicativity, run_all
+
+# every suite's outcome and detail at the default bound, as `verify --all` prints them
+GOLDEN_N4 = [
+    ("matroid-axioms", True, "32 classes"),
+    ("rank-lemmas", True, "4937 subset pairs"),
+    ("minor-lemmas", True, "1636 nested subsets"),
+    ("contraction-choice", True, "462 bases tried"),
+    ("direct-sum-compat", True, "5849 subset pairs"),
+    ("dual-involution", True, "32 classes"),
+    ("canonical-oracle", True, "32 classes, all relabelings"),
+    ("coassociativity", True, "64 (class, mode) pairs"),
+    ("cocommutativity-rd", True, "32 classes"),
+    ("counit-laws", True, "64 (class, mode) pairs"),
+    ("multiplicativity", True, "263 pairs"),
+    ("antipode-law", True, "32 classes"),
+    ("split-sum", True, "62 (class, mode) pairs"),
+    ("dendriform-rd", False, "14/31 classes fail, e.g. M[3;0,1,2]"),
+    ("dendriform-rc", True, "31 classes"),
+    ("codendriform-gap", True, "nonzero gap at (U_{0,1}, U_{0,1})"),
+    ("exp-closed-form", True, "32 classes"),
+    ("alpha-power-identity", True, "32 classes"),
+    ("alpha-four-factor", True, "32 classes"),
+    ("alpha-character", True, "131 pairs"),
+    ("convolution-identity", True, "32 classes"),
+    ("deletion-recursions", True, "102 elements"),
+    ("monomial-closed-form", True, "32 classes plus witnesses"),
+]
+
+
+def test_rows_at_four_elements(tmp_path):
+    assert run_all(max_n=4, cache_dir=tmp_path) == [CheckResult(*row) for row in GOLDEN_N4]
 
 
 def test_suite_outcomes_at_three_elements(tmp_path):
