@@ -92,8 +92,10 @@ _key_cache: dict[tuple[int, tuple[int, ...]], IsoKey] = {}
 def canonical_key(matroid: Matroid) -> IsoKey:
     """Canonical key of a matroid's isomorphism class.
 
-    Pure and memoized by the raw family; the cache only ever stores the
-    value the search would recompute, so concurrent use is safe.
+    Pure and memoized by the raw family, and also by the canonical family:
+    that family is the least of its own relabelings, so it is its own key,
+    and ``key.matroid()`` round trips skip the search.  The cache only ever
+    stores the value the search would recompute, so concurrent use is safe.
     """
     check_size(matroid.n)
     cache_key = (matroid.n, matroid.independents)
@@ -108,6 +110,7 @@ def canonical_key(matroid: Matroid) -> IsoKey:
         fam = _min_relabeling(matroid.n, matroid.independents)
     key = IsoKey(matroid.n, rank, fam)
     _key_cache[cache_key] = key
+    _key_cache[(matroid.n, fam)] = key
     return key
 
 

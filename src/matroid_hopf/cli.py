@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, takes_mode, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--expr", help="constructor expression, e.g. 'uniform(1,2)'")
-        p.add_argument("--input", help="path to a matroid JSON file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--expr", help="constructor expression, e.g. 'uniform(1,2)'")
+        source.add_argument("--input", help="path to a matroid JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if takes_mode:
             p.add_argument("--mode", choices=["rc", "rd"], default="rd")

@@ -8,12 +8,16 @@ takes that sum over a named family of subsets A: all of them for the
 coproduct, the proper nonempty ones for the reduced coproduct, the
 dependent or independent proper nonempty ones for the split halves.  The
 sum depends only on the isomorphism class, so it is memoized per (mode,
-subsets, class).  On a miss each restriction's monomial is computed once,
-the class monomial seeding the full set's entry; in the
-restriction-deletion case M\\A = M|(E - A) comes from the same table.  The
-restriction-deletion bialgebra is a commutative Hopf algebra, so its
-antipode S is multiplicative; on a connected class S(m) = -sum c S(a) b over
-the terms c a (x) b of the memoized monomial coproduct of m with a != m.
+subsets, class).  On a miss no minor is built per subset.  Each leg is a
+minor (M/B)|X, with B = 0 for M|A and M\\A = M|(E - A) and B a basis of A
+for M/A; its component masks are read on M, and one family is built and
+canonicalized per distinct connected block, for both legs.  Each leg's
+monomial is computed once per (X, B), the class monomial seeding the full
+set's entry, so in the restriction-deletion case M\\A comes from the same
+table as the restrictions.  The restriction-deletion bialgebra is a
+commutative Hopf algebra, so its antipode S is multiplicative; on a
+connected class S(m) = -sum c S(a) b over the terms c a (x) b of the
+memoized monomial coproduct of m with a != m.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum
 from functools import partial
 from typing import Literal
 
-from .canonical import IsoKey, check_size
+from .canonical import IsoKey, canonical_key, check_size
 from .formal import Monomial, ModuleElement, TensorElement, module_product
 from .matroid import Matroid
 
@@ -42,6 +46,14 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
 
     ``which`` is "all" subsets, the "proper" nonempty ones, or the
     "dependent" or "independent" proper nonempty ones.
+
+    No minor is built per A.  Every leg is a minor (M/base)|mask: M|A and
+    M\\A = M|(E - A) with base = 0, and M/A = (M/base)|(E - A) with base
+    the greedy basis of A.  Its component masks are read on M by
+    ``Matroid.components(mask, base)``, and its monomial is the sorted keys
+    of those blocks.  Each distinct (block, base) is canonicalized once per
+    call, for both legs: M|block for base = 0, else the family of
+    (M/base)|block.  Each (mask, base) leg is computed once per call.
     """
     check_size(matroid.n)
     full = matroid.full_mask
@@ -50,12 +62,24 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
     hit = _subset_sum_cache.get(memo_key)
     if hit is not None:
         return hit
-    table: dict[int, Monomial] = {full: cls}
+    legs: dict[tuple[int, int], Monomial] = {(full, 0): cls}
+    block_keys: dict[tuple[int, int], IsoKey] = {}
 
-    def restricted(mask: int) -> Monomial:
-        if mask not in table:
-            table[mask] = Monomial.from_matroid(matroid.restrict(mask))
-        return table[mask]
+    def leg(mask: int, base: int) -> Monomial:
+        out = legs.get((mask, base))
+        if out is None:
+            keys = []
+            for block in matroid.components(mask, base):
+                key = block_keys.get((block, base))
+                if key is None:
+                    if base:
+                        minor = Matroid(block.bit_count(), matroid._minor_family(block, base))
+                    else:
+                        minor = matroid.restrict(block)
+                    key = block_keys[block, base] = canonical_key(minor)
+                keys.append(key)
+            out = legs[mask, base] = Monomial(tuple(sorted(keys, key=IsoKey.sort_key)))
+        return out
 
     if which == "all":
         subsets = range(1 << matroid.n)
@@ -66,12 +90,9 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
             subsets = (a for a in subsets if matroid.is_independent(a) == independent)
     terms: dict[tuple[Monomial, ...], int] = {}
     for a in subsets:
-        if mode is CoproductMode.RD:
-            right = restricted(full ^ a)
-        else:
-            right = Monomial.from_matroid(matroid.contract(a))
-        legs = (restricted(a), right)
-        terms[legs] = terms.get(legs, 0) + 1
+        base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
+        pair = (leg(a, 0), leg(full ^ a, base))
+        terms[pair] = terms.get(pair, 0) + 1
     out = TensorElement(2, terms)
     _subset_sum_cache[memo_key] = out
     return out

@@ -161,24 +161,31 @@ class Matroid:
         """
         return self._contract_using(mask, self._greedy_basis(mask))
 
-    def _greedy_basis(self, mask: int) -> int:
-        """Lexicographically least maximal independent subset of ``mask``.
+    def _greedy_basis(self, mask: int, base: int = 0) -> int:
+        """``base`` plus the lexicographically least subset of ``mask`` that
+        extends it to a maximal independent subset of ``base | mask``.
 
-        Greedy on ascending labels.
+        Greedy on ascending labels; ``base`` is independent.
         """
         iset = self._iset
-        base = 0
         for bit in _bits(mask):
             if (base | bit) in iset:
                 base |= bit
         return base
 
     def _contract_using(self, mask: int, base: int) -> Matroid:
-        # submasks(rest) ascends, so the i-th one relabels to i.
-        iset = self._iset
         rest = self.full_mask & ~mask
-        fam = tuple(i for i, s in enumerate(submasks(rest)) if (s | base) in iset)
-        return Matroid(rest.bit_count(), fam)
+        return Matroid(rest.bit_count(), self._minor_family(rest, base))
+
+    def _minor_family(self, mask: int, base: int) -> tuple[int, ...]:
+        """Independent family of (M/base)|mask, relabeled ascending.
+
+        ``base`` is independent and disjoint from ``mask``: a subset s of
+        ``mask`` is independent in the minor iff s | base is independent in
+        M.  submasks(mask) ascends, so the i-th one relabels to i.
+        """
+        iset = self._iset
+        return tuple(i for i, s in enumerate(submasks(mask)) if (s | base) in iset)
 
     def maximal_independent_subsets(self, mask: int) -> tuple[int, ...]:
         r = self.rank(mask)
@@ -210,23 +217,34 @@ class Matroid:
         )
         return Matroid(self.n, tuple(fam))
 
-    def components(self) -> tuple[int, ...]:
-        """Masks of the connected components, ordered by least element.
+    def components(self, mask: int | None = None, base: int = 0) -> tuple[int, ...]:
+        """Masks of the connected components of (M/base)|mask, in original
+        labels, ordered by least element.
+
+        ``mask`` defaults to E; ``base`` is independent and disjoint from
+        ``mask``, so (M/base)|mask is the minor whose independent sets are
+        the subsets s of ``mask`` with s | base independent.  With
+        ``base = 0`` it is the restriction M|mask; with ``base`` a maximal
+        independent subset of A and ``mask = E - A`` it is the contraction
+        M/A.  No minor is built.
 
         Components are the classes of the relation joining elements that lie
         on a common circuit; the matroid is the direct sum of its
         restrictions to them.  They are read off the fundamental circuits of
-        one basis B: e outside B and b in B are joined iff B - b + e is
-        independent.  That graph has the components of the matroid
-        (Krogdahl, "The dependence graph for bases in matroids", Discrete
-        Math. 19, 1977; Oxley, *Matroid Theory*, 4.3).  Loops and coloops
-        come out as singletons.
+        one basis B of the minor: e outside B and b in B are joined iff
+        B - b + e is independent in the minor, that is iff
+        (B | base) - b + e is independent in M.  That graph has the
+        components of the matroid (Krogdahl, "The dependence graph for bases
+        in matroids", Discrete Math. 19, 1977; Oxley, *Matroid Theory*,
+        4.3).  Loops and coloops come out as singletons.
         """
+        if mask is None:
+            mask = self.full_mask
         iset = self._iset
-        basis = self._greedy_basis(self.full_mask)
-        basis_bits = list(_bits(basis))
+        basis = self._greedy_basis(mask, base)
+        basis_bits = list(_bits(basis ^ base))
         blocks = basis_bits[:]
-        for e in _bits(self.full_mask & ~basis):
+        for e in _bits(mask & ~basis):
             circuit = e
             for b in basis_bits:
                 if ((basis ^ b) | e) in iset:

@@ -13,7 +13,8 @@ from matroid_hopf import (
     uniform,
     validate,
 )
-from matroid_hopf.canonical import all_permutation_key
+from matroid_hopf import canonical
+from matroid_hopf.canonical import _min_relabeling, all_permutation_key
 
 from oracles import orbit_code, permuted_family
 
@@ -101,6 +102,18 @@ def test_pruned_search_matches_oracle_beyond_catalog(name):
     perm = [(5 * e + 2) % m.n for e in range(m.n)]  # 5 is prime to n = 6, 7, 8
     assert sorted(perm) == list(range(m.n))
     assert canonical_key(m.relabel(perm)).family == expected
+
+
+def test_canonical_family_is_its_own_key(monkeypatch, catalog_reps):
+    # a canonical family is the least of its relabelings, so a cold call
+    # leaves key.matroid() a memo hit that returns the key itself
+    eight = ORACLE_INPUTS["K4 + parallel edge + self-loop"]
+    for m in catalog_reps + [eight]:
+        m = m.relabel(list(reversed(range(m.n))))
+        monkeypatch.setattr(canonical, "_key_cache", {})
+        key = canonical_key(m)
+        assert _min_relabeling(key.n, key.family) == key.family
+        assert canonical_key(key.matroid()) is key
 
 
 def _family_digest(key) -> str:

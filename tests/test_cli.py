@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import matroid_hopf
-from matroid_hopf.cli import main, parse_expression
+from matroid_hopf.cli import COMMANDS, main, parse_expression
 from matroid_hopf import uniform, graphic
 from matroid_hopf.canonical import GroundSetTooLarge
 from matroid_hopf.cli import InputError
@@ -120,6 +120,15 @@ class TestErrors:
         code, _, err = run(capsys, "poly")
         assert code == 2
         assert "--expr" in err or "--input" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_expr_and_input_together(self, capsys, tmp_path, command):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(uniform(1, 2).to_dict()))
+        code, out, err = run(capsys, command, "--expr", "uniform(2,3)", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "poly", "--bogus")

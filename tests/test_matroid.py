@@ -311,6 +311,12 @@ class TestComponents:
         assert m.components() == (0b00011, 0b11100)
 
 
+def _in_labels(blocks, ground):
+    """Blocks of a minor on ``ground`` relabeled ascending, in original labels."""
+    labels = [e for e in range(ground.bit_length()) if ground >> e & 1]
+    return [sum(1 << e for i, e in enumerate(labels) if b >> i & 1) for b in blocks]
+
+
 K5 = graphic(5, list(combinations(range(5), 2)))
 
 
@@ -340,6 +346,24 @@ class TestMinorOracles:
                     got.append((minor.n, list(minor.independents), list(minor.components())))
                     want.append((size, fam, component_blocks(fam, size)))
             assert got == want
+
+    def test_components_on_masks(self, oracle_cases):
+        # components(mask, base) against minors and components built by the
+        # oracles alone, for every mask and, for the contraction M/A, every
+        # maximal independent subset of A as base
+        for m in oracle_cases:
+            fam, full = list(m.independents), (1 << m.n) - 1
+            for a in range(1 << m.n):
+                want = component_blocks(restrict_family(fam, a), a.bit_count())
+                assert list(m.components(a)) == _in_labels(want, a)
+                rest = full ^ a
+                want = _in_labels(
+                    component_blocks(contract_family(fam, m.n, a), rest.bit_count()), rest
+                )
+                inside = [s for s in fam if s & ~a == 0]
+                rank = max(s.bit_count() for s in inside)
+                for base in (s for s in inside if s.bit_count() == rank):
+                    assert list(m.components(rest, base)) == want
 
     def test_restriction_with_three_runs(self):
         mask = 0b1101100111
