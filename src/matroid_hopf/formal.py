@@ -203,10 +203,30 @@ class Monomial:
         return _UNIT
 
     @classmethod
-    def from_matroid(cls, matroid: Matroid) -> Monomial:
+    def from_matroid(
+        cls,
+        matroid: Matroid,
+        mask: int | None = None,
+        base: int = 0,
+        block_keys: dict[tuple[int, int], IsoKey] | None = None,
+    ) -> Monomial:
+        """Class of the minor (M/base)|mask, by default of M itself.
+
+        ``base`` is independent and disjoint from ``mask``.  The factors are
+        the keys of the minor's components: each component mask is read on
+        M and only that block's minor is built, never the whole minor.
+        ``block_keys`` maps (block, base) to the block's key; callers that
+        take many minors of one matroid pass one dict so that a block shared
+        by several minors is canonicalized once.
+        """
+        if block_keys is None:
+            block_keys = {}
         keys = []
-        for block in matroid.components():
-            keys.append(canonical_key(matroid.restrict(block)))
+        for block in matroid.components(mask, base):
+            key = block_keys.get((block, base))
+            if key is None:
+                key = block_keys[block, base] = canonical_key(matroid._minor(block, base))
+            keys.append(key)
         return cls(tuple(sorted(keys, key=IsoKey.sort_key)))
 
     @classmethod

@@ -10,14 +10,15 @@ dependent or independent proper nonempty ones for the split halves.  The
 sum depends only on the isomorphism class, so it is memoized per (mode,
 subsets, class).  On a miss no minor is built per subset.  Each leg is a
 minor (M/B)|X, with B = 0 for M|A and M\\A = M|(E - A) and B a basis of A
-for M/A; its component masks are read on M, and one family is built and
-canonicalized per distinct connected block, for both legs.  Each leg's
-monomial is computed once per (X, B), the class monomial seeding the full
-set's entry, so in the restriction-deletion case M\\A comes from the same
-table as the restrictions.  The restriction-deletion bialgebra is a
-commutative Hopf algebra, so its antipode S is multiplicative; on a
-connected class S(m) = -sum c S(a) b over the terms c a (x) b of the
-memoized monomial coproduct of m with a != m.
+for M/A.  ``Monomial.from_matroid`` reads its component masks on M and
+builds one small family per distinct connected block, for both legs, with
+one table of block keys per call.  Each (X, B) leg is computed once per
+call, the class itself being the leg (E, 0), so in the
+restriction-deletion case M\\A comes from the same table as the
+restrictions.  The restriction-deletion bialgebra is a commutative Hopf
+algebra, so its antipode S is multiplicative; on a connected class
+S(m) = -sum c S(a) b over the terms c a (x) b of the memoized monomial
+coproduct of m with a != m.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 from functools import partial
 from typing import Literal
 
-from .canonical import IsoKey, canonical_key, check_size
+from .canonical import IsoKey, check_size
 from .formal import Monomial, ModuleElement, TensorElement, module_product
 from .matroid import Matroid
 
@@ -49,38 +50,29 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
 
     No minor is built per A.  Every leg is a minor (M/base)|mask: M|A and
     M\\A = M|(E - A) with base = 0, and M/A = (M/base)|(E - A) with base
-    the greedy basis of A.  Its component masks are read on M by
-    ``Matroid.components(mask, base)``, and its monomial is the sorted keys
-    of those blocks.  Each distinct (block, base) is canonicalized once per
-    call, for both legs: M|block for base = 0, else the family of
-    (M/base)|block.  Each (mask, base) leg is computed once per call.
+    the greedy basis of A.  ``Monomial.from_matroid(M, mask, base,
+    block_keys)`` reads its component masks on M and builds and
+    canonicalizes one family per block, and ``block_keys`` shares each
+    (block, base) between the legs of the call.  Each (mask, base) leg is
+    computed once per call; the class of M, which keys the memo, is the
+    leg (E, 0).
     """
     check_size(matroid.n)
     full = matroid.full_mask
-    cls = Monomial.from_matroid(matroid)
-    memo_key = (mode, which, cls)
-    hit = _subset_sum_cache.get(memo_key)
-    if hit is not None:
-        return hit
-    legs: dict[tuple[int, int], Monomial] = {(full, 0): cls}
+    legs: dict[tuple[int, int], Monomial] = {}
     block_keys: dict[tuple[int, int], IsoKey] = {}
 
     def leg(mask: int, base: int) -> Monomial:
         out = legs.get((mask, base))
         if out is None:
-            keys = []
-            for block in matroid.components(mask, base):
-                key = block_keys.get((block, base))
-                if key is None:
-                    if base:
-                        minor = Matroid(block.bit_count(), matroid._minor_family(block, base))
-                    else:
-                        minor = matroid.restrict(block)
-                    key = block_keys[block, base] = canonical_key(minor)
-                keys.append(key)
-            out = legs[mask, base] = Monomial(tuple(sorted(keys, key=IsoKey.sort_key)))
+            out = legs[mask, base] = Monomial.from_matroid(matroid, mask, base, block_keys)
         return out
 
+    cls = leg(full, 0)
+    memo_key = (mode, which, cls)
+    hit = _subset_sum_cache.get(memo_key)
+    if hit is not None:
+        return hit
     if which == "all":
         subsets = range(1 << matroid.n)
     else:

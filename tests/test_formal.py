@@ -12,11 +12,14 @@ from matroid_hopf import (
     canonical_key,
     conv_exp,
     delta_coloop,
+    Matroid,
     linear_combination,
     module_product,
     uniform,
 )
 from matroid_hopf.formal import ONE, S, X, Y, ZERO
+
+from oracles import contract_family, restrict_family
 
 
 def mono(*matroids):
@@ -167,6 +170,25 @@ class TestMonomial:
         assert Monomial.unit().render() == "1"
         assert mono(uniform(3, 3)).render() == "U_{1,1}^3"
         assert mono(uniform(1, 2), uniform(1, 3)).render() == "U_{1,2}.U_{1,3}"
+
+    def test_class_of_a_minor_on_masks(self, oracle_cases):
+        # from_matroid(M, mask, base) against the class of the minor that the
+        # oracles build, with and without one block table shared by every
+        # minor of M, and every maximal independent subset of A as the base
+        # of M/A
+        for m in oracle_cases:
+            fam, full, shared = list(m.independents), m.full_mask, {}
+            for a in range(1 << m.n):
+                want = mono(Matroid(a.bit_count(), tuple(restrict_family(fam, a))))
+                assert Monomial.from_matroid(m, a) == want
+                assert Monomial.from_matroid(m, a, 0, shared) == want
+                rest = full ^ a
+                want = mono(Matroid(rest.bit_count(), tuple(contract_family(fam, m.n, a))))
+                inside = [s for s in fam if s & ~a == 0]
+                rank = max(s.bit_count() for s in inside)
+                for base in (s for s in inside if s.bit_count() == rank):
+                    assert Monomial.from_matroid(m, rest, base) == want
+                    assert Monomial.from_matroid(m, rest, base, shared) == want
 
     def test_representative_matroid_round_trip(self, catalog_reps):
         for m in catalog_reps:

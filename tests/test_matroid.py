@@ -365,6 +365,25 @@ class TestMinorOracles:
                 for base in (s for s in inside if s.bit_count() == rank):
                     assert list(m.components(rest, base)) == want
 
+    def test_minor_on_masks(self, oracle_cases):
+        # _minor(mask, base) against the oracles' restriction and
+        # contraction families, for every maximal independent subset of A
+        # as the base of M/A
+        for m in oracle_cases:
+            fam, full = list(m.independents), (1 << m.n) - 1
+            for a in range(1 << m.n):
+                minor = m._minor(a, 0)
+                assert (minor.n, list(minor.independents)) == (
+                    a.bit_count(), restrict_family(fam, a)
+                )
+                rest = full ^ a
+                want = (rest.bit_count(), contract_family(fam, m.n, a))
+                inside = [s for s in fam if s & ~a == 0]
+                rank = max(s.bit_count() for s in inside)
+                for base in (s for s in inside if s.bit_count() == rank):
+                    minor = m._minor(rest, base)
+                    assert (minor.n, list(minor.independents)) == want
+
     def test_restriction_with_three_runs(self):
         mask = 0b1101100111
         kept = [e for i, e in enumerate(combinations(range(5), 2)) if mask >> i & 1]
