@@ -23,6 +23,16 @@ Three rules keep the tree small while preserving the exact lex-minimum:
 
 Any prefix already beaten by the best complete encoding is pruned as well.
 ``_min_relabeling`` gives the argument for each rule in full.
+
+The coproducts canonicalize many minors that are isomorphic to one another
+under different labelings, so a search result is reused for the whole
+class.  Every searched family is kept in a bucket keyed by an isomorphism
+invariant (per element, how many independent sets of each size contain it).
+A family that misses the memo is first tested for isomorphism against the
+searched families of its bucket; on success it takes their key, which is
+byte-identical to what its own search would return, because the least
+relabeling depends only on the class.  Only a family isomorphic to none of
+them is searched.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import total_ordering
 from itertools import permutations
+from math import comb
 
 from .matroid import Matroid
 
@@ -74,7 +85,8 @@ class IsoKey:
         return Matroid(self.n, self.family)
 
     def is_uniform(self) -> bool:
-        return self.matroid().is_uniform()
+        # the family holds only sets of size <= rank, so all of them iff uniform
+        return len(self.family) == sum(comb(self.n, i) for i in range(self.rank + 1))
 
     def render(self) -> str:
         if self.is_uniform():
@@ -88,30 +100,114 @@ class IsoKey:
 
 _key_cache: dict[tuple[int, tuple[int, ...]], IsoKey] = {}
 
+Profiles = tuple[tuple[int, ...], ...]
+# Every searched family with its key, bucketed by _bucket_key.
+_bucket_cache: dict[tuple, list[tuple[IsoKey, frozenset[int], Profiles]]] = {}
+
 
 def canonical_key(matroid: Matroid) -> IsoKey:
     """Canonical key of a matroid's isomorphism class.
 
     Pure and memoized by the raw family, and also by the canonical family:
     that family is the least of its own relabelings, so it is its own key,
-    and ``key.matroid()`` round trips skip the search.  The cache only ever
-    stores the value the search would recompute, so concurrent use is safe.
+    and ``key.matroid()`` round trips skip the search.  A non-uniform family
+    that misses the memo takes the key of an isomorphic family the search
+    has already run on, found in its invariant bucket by ``_carries``; only
+    otherwise is it searched.  The memo only ever stores the value the
+    search would recompute, and a bucket only gains keys the search found,
+    so concurrent use is safe.
     """
     check_size(matroid.n)
-    cache_key = (matroid.n, matroid.independents)
-    hit = _key_cache.get(cache_key)
+    n, family = matroid.n, matroid.independents
+    hit = _key_cache.get((n, family))
     if hit is not None:
         return hit
-    rank = matroid.rank()
     if matroid.is_uniform():
         # every relabeling fixes a uniform family
-        fam = matroid.independents
+        key = IsoKey(n, matroid.rank(), family)
     else:
-        fam = _min_relabeling(matroid.n, matroid.independents)
-    key = IsoKey(matroid.n, rank, fam)
-    _key_cache[cache_key] = key
-    _key_cache[(matroid.n, fam)] = key
+        key = _lookup_or_search(matroid)
+    _key_cache[(n, family)] = key
+    _key_cache[(n, key.family)] = key
     return key
+
+
+def _lookup_or_search(matroid: Matroid) -> IsoKey:
+    """The key of an isomorphic family already searched, else a new search."""
+    n, family = matroid.n, matroid.independents
+    members = frozenset(family)
+    profiles = _profiles(n, family)
+    bucket = _bucket_cache.setdefault(_bucket_key(n, family, profiles), [])
+    for key, target, target_profiles in bucket:
+        if _carries(n, members, profiles, target, target_profiles):
+            return key
+    key = IsoKey(n, matroid.rank(), _min_relabeling(n, family))
+    bucket.append((key, members, profiles))
+    return key
+
+
+def _profiles(n: int, family: tuple[int, ...]) -> Profiles:
+    """Per element, how many sets of the family of each size contain it."""
+    counts = [[0] * (n + 1) for _ in range(n)]
+    for s in family:
+        k = s.bit_count()
+        while s:
+            low = s & -s
+            counts[low.bit_length() - 1][k] += 1
+            s ^= low
+    return tuple(map(tuple, counts))
+
+
+def _bucket_key(n: int, family: tuple[int, ...], profiles: Profiles) -> tuple:
+    """Isomorphism invariant: isomorphic families share a bucket."""
+    return n, len(family), tuple(sorted(profiles))
+
+
+def _carries(
+    n: int,
+    members: frozenset[int],
+    profiles: Profiles,
+    target: frozenset[int],
+    target_profiles: Profiles,
+) -> bool:
+    """True iff some bijection of the ground set carries ``members`` onto
+    ``target``.
+
+    Both families are downward closed.  Elements 0, 1, ... are placed in
+    turn, each only on an unused target element of the same profile.  The
+    family's masks inside the placed elements correspond one to one with
+    the target's masks inside their images.  By downward closure every mask
+    that placing e adds is some such mask s plus e, so placing e on f keeps
+    the correspondence iff, for every s with image t, s + e is in the
+    family exactly when t + f is in ``target``.  Once every element is
+    placed, the map carries the family onto ``target``.
+    """
+    # equal within a bucket; checked so that the test is exact on its own
+    if len(target) != len(members) or len(target_profiles) != n:
+        return False
+    orig = [0]  # the family's masks inside the placed elements
+    image = [0]  # their images: the target's masks inside the placed images
+
+    def place(e: int, used: int) -> bool:
+        if e == n:
+            return True
+        ebit = 1 << e
+        grows = [s | ebit in members for s in orig]
+        p = len(orig)
+        for f in range(n):
+            if used >> f & 1 or target_profiles[f] != profiles[e]:
+                continue
+            fbit = 1 << f
+            if [t | fbit in target for t in image] != grows:
+                continue
+            orig.extend([s | ebit for s, g in zip(orig, grows) if g])
+            image.extend([t | fbit for t, g in zip(image, grows) if g])
+            if place(e + 1, used | fbit):
+                return True
+            del orig[p:], image[p:]
+        return False
+
+    return place(0, 0)
 
 
 def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:

@@ -176,7 +176,14 @@ def check_dual_involution(reps) -> CheckResult:
 
 
 def check_canonical_oracle(reps) -> CheckResult:
-    """Pruned canonical search equals the all-permutations minimum."""
+    """Pruned canonical search equals the all-permutations minimum.
+
+    Keying a class runs the search, unless a memo already holds the key.
+    Its relabelings then miss the memo and take that key through the
+    isomorphism lookup of ``canonical_key``, so the relabel loop checks the
+    lookup against the search.  The detail text is unchanged, since
+    ``perfbench/reference.json`` pins it.
+    """
     count = 0
     for m in reps:
         count += 1

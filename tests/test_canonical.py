@@ -1,19 +1,22 @@
 import hashlib
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_hopf import (
+    CoproductMode,
     GroundSetTooLarge,
     Matroid,
     canonical_key,
+    coproduct,
     graphic,
     is_isomorphic,
     uniform,
     validate,
 )
-from matroid_hopf import canonical
+from matroid_hopf import canonical, hopf
 from matroid_hopf.canonical import _min_relabeling, all_permutation_key
 
 from oracles import orbit_code, permuted_family
@@ -40,6 +43,7 @@ def test_idempotent(catalog_reps):
         key = canonical_key(m)
         again = canonical_key(key.matroid())
         assert again == key
+        assert key.is_uniform() == key.matroid().is_uniform()
 
 
 def test_invariant_under_all_relabelings(catalog_reps):
@@ -93,15 +97,28 @@ ORACLE_INPUTS = {
 }
 
 
+@lru_cache(maxsize=None)
+def oracle_family(name):
+    return all_permutation_key(ORACLE_INPUTS[name])
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
 def test_pruned_search_matches_oracle_beyond_catalog(name):
     m = ORACLE_INPUTS[name]
     assert 6 <= m.n <= 8
-    expected = all_permutation_key(m)
+    expected = oracle_family(name)
     assert canonical_key(m).family == expected
     perm = [(5 * e + 2) % m.n for e in range(m.n)]  # 5 is prime to n = 6, 7, 8
     assert sorted(perm) == list(range(m.n))
-    assert canonical_key(m.relabel(perm)).family == expected
+    copy = m.relabel(perm)
+    assert canonical_key(copy).family == expected
+    # the memo may serve the copy; the search must also find the key itself
+    assert _min_relabeling(copy.n, copy.independents) == expected
+
+
+def _cold_canonical_memos(monkeypatch):
+    monkeypatch.setattr(canonical, "_key_cache", {})
+    monkeypatch.setattr(canonical, "_bucket_cache", {})
 
 
 def test_canonical_family_is_its_own_key(monkeypatch, catalog_reps):
@@ -110,10 +127,88 @@ def test_canonical_family_is_its_own_key(monkeypatch, catalog_reps):
     eight = ORACLE_INPUTS["K4 + parallel edge + self-loop"]
     for m in catalog_reps + [eight]:
         m = m.relabel(list(reversed(range(m.n))))
-        monkeypatch.setattr(canonical, "_key_cache", {})
+        _cold_canonical_memos(monkeypatch)
         key = canonical_key(m)
         assert _min_relabeling(key.n, key.family) == key.family
         assert canonical_key(key.matroid()) is key
+
+
+def _no_search(n, family):
+    raise AssertionError("an isomorphic family was searched again")
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_isomorphic_repeat_takes_the_searched_key(monkeypatch, name):
+    _cold_canonical_memos(monkeypatch)
+    m = ORACLE_INPUTS[name]
+    key = canonical_key(m)
+    copy = m.relabel([(3 * e + 1) % m.n for e in range(m.n)])  # 3 is prime to 7, 8
+    # neither the raw family nor the canonical one: the memo cannot serve it
+    assert copy.independents not in (m.independents, key.family)
+    monkeypatch.setattr(canonical, "_min_relabeling", _no_search)
+    assert canonical_key(copy) is key
+
+
+def _rank_three_paving(lines):
+    """Nine points whose dependent triples are exactly ``lines``."""
+    dependent = {sum(1 << e for e in line) for line in lines}
+    return Matroid(9, tuple(s for s in uniform(3, 9).independents if s not in dependent))
+
+
+# Two (9_3) configurations: nine lines of three points, three through each
+# point.  Both have 121 independent sets and every element the same profile,
+# so they share a bucket.  They are not isomorphic: joining each point to
+# the two points on no line with it gives three triangles in the Pappus
+# configuration and one 9-cycle (i ~ i + 4) in the cyclic one.
+PAPPUS = _rank_three_paving(
+    [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 4, 8), (0, 5, 7),
+     (1, 3, 8), (1, 5, 6), (2, 3, 7), (2, 4, 6)]
+)
+CYCLIC_9_3 = _rank_three_paving([(i, (i + 1) % 9, (i + 3) % 9) for i in range(9)])
+
+
+def test_lookup_tells_apart_a_bucket_collision(monkeypatch):
+    _cold_canonical_memos(monkeypatch)
+    pair = (PAPPUS, CYCLIC_9_3)
+    keys = [canonical_key(m) for m in pair]
+    assert len(canonical._bucket_cache) == 1
+    assert keys[0] != keys[1]
+    monkeypatch.setattr(canonical, "_min_relabeling", _no_search)
+    for m, key in zip(pair, keys):
+        copy = m.relabel([(2 * e + 1) % 9 for e in range(9)])
+        assert copy.independents not in (m.independents, key.family)
+        assert canonical_key(copy) is key
+
+
+def _shifted(m):
+    return m.relabel([(e + 1) % m.n for e in range(m.n)])
+
+
+@pytest.mark.parametrize("profiles", ["true profiles", "constant profiles"])
+def test_lookup_rejects_non_isomorphic_families(
+    monkeypatch, catalog_reps, oracle_cases, profiles
+):
+    # one bucket for every family, so each lookup tests all searched classes
+    _cold_canonical_memos(monkeypatch)
+    monkeypatch.setattr(canonical, "_bucket_key", lambda n, family, profiles: ())
+    if profiles == "constant profiles":
+        # every element may map to every element: only the masks can reject
+        monkeypatch.setattr(canonical, "_profiles", lambda n, family: ((),) * n)
+    keys = []
+    for m in catalog_reps:
+        expected = all_permutation_key(m)
+        for candidate in (_shifted(m), m):
+            assert canonical_key(candidate).family == expected
+        keys.append(canonical_key(m))
+    for name, m in sorted(ORACLE_INPUTS.items()):
+        keys.append(canonical_key(m))
+        assert keys[-1].family == oracle_family(name)
+    assert len(set(keys)) == len(keys)
+    # direct sums of up to 6 elements share (n, |family|) far more often;
+    # the search, checked against the oracle above, gives their keys
+    for m in oracle_cases:
+        expected = _min_relabeling(m.n, m.independents)
+        assert canonical_key(_shifted(m)).family == expected
 
 
 def _family_digest(key) -> str:
@@ -156,6 +251,29 @@ def test_golden_keys_beyond_oracle_reach(name):
         key = canonical_key(candidate)
         assert key.rank == rank
         assert _family_digest(key) == digest
+    copy = m.relabel(perm)
+    assert _min_relabeling(copy.n, copy.independents) == key.family
+
+
+def test_cold_coproduct_searches_each_class_once(monkeypatch):
+    # isomorphic blocks of one coproduct take the first block's key: one
+    # search per distinct non-uniform class (223 searches without the lookup)
+    _cold_canonical_memos(monkeypatch)
+    monkeypatch.setattr(hopf, "_subset_sum_cache", {})
+    searched = []
+
+    def counted(n, family):
+        searched.append(family)
+        return _min_relabeling(n, family)
+
+    monkeypatch.setattr(canonical, "_min_relabeling", counted)
+    t = coproduct(CoproductMode.RC, graphic(5, K5_EDGES))
+    classes = {
+        key for legs in t.terms for leg in legs for key in leg.factors
+        if not key.is_uniform()
+    }
+    assert len(searched) == len(classes) == 14
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
@@ -165,6 +283,7 @@ def test_random_relabelings_of_catalog_matroids(catalog_reps, data):
     relabeled = Matroid(m.n, tuple(sorted(permuted_family(m.independents, perm))))
     assert canonical_key(relabeled) == canonical_key(m)
     assert is_isomorphic(relabeled, m)
+    assert _min_relabeling(relabeled.n, relabeled.independents) == canonical_key(m).family
 
 
 def test_is_isomorphic_examples():
@@ -182,15 +301,25 @@ def test_total_order_is_consistent(catalogs):
         assert not b < a
 
 
-def test_concurrent_calls_agree(catalog_reps):
-    # the memo cache is read-through: concurrent use returns identical keys
+def test_concurrent_calls_agree(monkeypatch, catalog_reps):
+    # the memo cache is read-through: concurrent use returns identical keys,
+    # also while cold threads search and look up the same classes at once
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    targets = [m for m in catalog_reps if m.n >= 3] * 4
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        keys = list(pool.map(canonical_key, targets))
+    _cold_canonical_memos(monkeypatch)
+    reps = [m for m in catalog_reps if m.n >= 3]
+    targets = [r for m in reps for r in (m, _shifted(m))] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            keys = list(pool.map(canonical_key, targets))
+    finally:
+        sys.setswitchinterval(interval)
     for m, key in zip(targets, keys):
         assert key == canonical_key(m)
+        assert key.family == all_permutation_key(m)
 
 
 def test_ground_set_limit():
