@@ -10,7 +10,7 @@ A branch-and-bound search finds that minimum without visiting all n!
 relabelings.  It assigns new labels 0, 1, ... one at a time; once j labels
 are placed, the masks inside the placed elements are exactly the family's
 entries below 2^j, so they form a determined prefix of every completion.
-Three rules keep the tree small while preserving the exact lex-minimum:
+Four rules keep the tree small while preserving the exact lex-minimum:
 
 * the prefix grows by one sorted block per level, computed from the
   previous level's remapped values rather than rebuilt;
@@ -19,7 +19,12 @@ Three rules keep the tree small while preserving the exact lex-minimum:
   the least one;
 * elements whose transposition fixes the family (twins: parallel, series,
   loop and coloop classes) are branched on once per class, since swapping
-  two unplaced twins maps one subtree onto the other with equal encodings.
+  two unplaced twins maps one subtree onto the other with equal encodings;
+* a sibling is skipped when automorphisms that fix every placed element
+  map it onto a sibling already explored, for the same reason.  The
+  automorphisms come from the search itself: a leaf whose encoding ties
+  with the best one differs from it by an automorphism (orbit pruning as
+  in McKay, "Practical graph isomorphism", 1981).
 
 Any prefix already beaten by the best complete encoding is pruned as well.
 ``_min_relabeling`` gives the argument for each rule in full.
@@ -241,6 +246,17 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
       classes (products of automorphisms are automorphisms): parallel,
       series, loop and coloop classes, among others.  One unplaced element
       per class is branched on.
+    * Orbits.  A leaf whose encoding equals best's remaps the family onto
+      the same sorted family as best's leaf, so e -> best_placed[label of
+      e], its labeling followed by the inverse of best's, is an
+      automorphism.  Let g be a product of such automorphisms that fix
+      every placed element, with g(e) = f for a sibling f already explored.
+      Composing a completion below e with g^-1 keeps the placed labels,
+      gives f the label of e and leaves the encoding unchanged, since g
+      maps the family onto itself: the two subtrees hold exactly the same
+      encodings, and e is skipped.  The automorphisms are filtered again
+      for every sibling, since those found below the first sibling are the
+      ones that prune the later ones.
 
     The prefix is also compared with the best complete encoding found so
     far: a subtree whose prefix is already worse is skipped, and one whose
@@ -251,14 +267,27 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
     end = 1 << n  # above every mask: marks the end of a block
     orig = [0]  # original masks of the determined prefix, in prefix order
     new = [0]  # their remapped values: the determined prefix itself
+    placed: list[int] = []  # the placed elements, in label order
     best: list[int] | None = None
+    best_placed: list[int] = []
+    autos: list[tuple[list[int], int]] = []  # (automorphism, moved elements)
 
     def descend(unplaced: tuple[int, ...], better: bool) -> None:
         # better: the prefix already beats best, so every completion does
-        nonlocal best
+        nonlocal best, best_placed
         if not unplaced:
             if better:
-                best = new[:]
+                best, best_placed = new[:], placed[:]
+                return
+            # a tie with best: undoing best's labeling after this one's
+            # maps the family onto itself
+            auto = list(range(n))
+            moved = 0
+            for e, f in zip(placed, best_placed):
+                if e != f:
+                    auto[e] = f
+                    moved |= 1 << e
+            autos.append((auto, moved))
             return
         bit = 1 << (n - len(unplaced))
         least: list[int] | None = None
@@ -284,18 +313,47 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
                 return  # determined prefix already worse
             better = least < rival
         least.pop()
+        explored = 0  # chosen siblings already explored, as a bitmask
         for e in chosen:
             ebit = 1 << e
+            if explored and _orbit_meets(e, explored, autos, placed):
+                continue
+            explored |= ebit
             orig.extend([s | ebit for s in orig[:p] if s | ebit in members])
             new.extend(least)
+            placed.append(e)
             before = best
             descend(tuple(f for f in unplaced if f != e), better)
             # a new best shares this prefix, so later siblings are tied with it
             better = better and best is before
             del orig[p:], new[p:]
+            placed.pop()
 
     descend(tuple(range(n)), True)
     return tuple(best)
+
+
+def _orbit_meets(
+    e: int, explored: int, autos: list[tuple[list[int], int]], placed: list[int]
+) -> bool:
+    """True iff the group generated by the automorphisms in ``autos`` that
+    fix every placed element maps e into ``explored`` (a bitmask)."""
+    fixed = 0
+    for f in placed:
+        fixed |= 1 << f
+    gens = [auto for auto, moved in autos if not moved & fixed]
+    orbit = 1 << e
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        for auto in gens:
+            y = auto[x]
+            if not orbit >> y & 1:
+                if explored >> y & 1:
+                    return True
+                orbit |= 1 << y
+                stack.append(y)
+    return False
 
 
 def _twin_classes(n: int, members: frozenset[int]) -> list[int]:

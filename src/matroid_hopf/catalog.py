@@ -146,7 +146,7 @@ def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
         if len(keys) != header["count"] or any(key.n != n for key in keys):
             return None
         return Catalog(n, tuple(sorted(keys, key=IsoKey.sort_key)), header["labeled_count"])
-    except (ValueError, KeyError, IndexError, TypeError):
+    except (OSError, ValueError, KeyError, IndexError, TypeError):
         return None
 
 

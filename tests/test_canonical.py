@@ -94,6 +94,8 @@ ORACLE_INPUTS = {
     .direct_sum(uniform(2, 3))
     .direct_sum(uniform(1, 1))
     .direct_sum(uniform(0, 1)),
+    # no twins but 24 automorphisms: the orbit rule skips tied siblings
+    "M(K4)": graphic(4, K4_EDGES),
 }
 
 
@@ -142,7 +144,7 @@ def test_isomorphic_repeat_takes_the_searched_key(monkeypatch, name):
     _cold_canonical_memos(monkeypatch)
     m = ORACLE_INPUTS[name]
     key = canonical_key(m)
-    copy = m.relabel([(3 * e + 1) % m.n for e in range(m.n)])  # 3 is prime to 7, 8
+    copy = m.relabel([(5 * e + 1) % m.n for e in range(m.n)])  # 5 is prime to 6, 7, 8
     # neither the raw family nor the canonical one: the memo cannot serve it
     assert copy.independents not in (m.independents, key.family)
     monkeypatch.setattr(canonical, "_min_relabeling", _no_search)
@@ -253,6 +255,26 @@ def test_golden_keys_beyond_oracle_reach(name):
         assert _family_digest(key) == digest
     copy = m.relabel(perm)
     assert _min_relabeling(copy.n, copy.independents) == key.family
+
+
+def test_orbit_rule_skips_pinned_siblings(monkeypatch):
+    # pins the search work: without the orbit rule no sibling is skipped
+    skipped = []
+    orbit_meets = canonical._orbit_meets
+
+    def counted(*args):
+        skipped.append(orbit_meets(*args))
+        return skipped[-1]
+
+    monkeypatch.setattr(canonical, "_orbit_meets", counted)
+    k5, rank, digest = GOLDEN_KEYS["M(K5)"]
+    key = canonical.IsoKey(k5.n, rank, _min_relabeling(k5.n, k5.independents))
+    assert sum(skipped) == 59
+    assert _family_digest(key) == digest
+    skipped.clear()
+    k4 = ORACLE_INPUTS["M(K4)"]
+    assert _min_relabeling(k4.n, k4.independents) == oracle_family("M(K4)")
+    assert sum(skipped) == 8
 
 
 def test_cold_coproduct_searches_each_class_once(monkeypatch):

@@ -21,6 +21,7 @@ from matroid_hopf import (
     uniform,
     validate,
 )
+from matroid_hopf.cli import main
 from matroid_hopf.catalog import (
     CACHE_ENV_VAR,
     KNOWN_COUNTS,
@@ -172,6 +173,26 @@ class TestCache:
         assert f"[Errno {errno.EFBIG}]" in child.stderr
         assert load_cache(4, tmp_path) == catalogs[4]
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_unreadable_cache_is_enumerated_again(
+        self, tmp_path, monkeypatch, capsys, catalogs
+    ):
+        for n in range(3):
+            save_cache(catalogs[n], tmp_path)
+        read_text = Path.read_text
+
+        def denied(path, *args, **kwargs):
+            if path.parent == tmp_path:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert load_cache(2, tmp_path) is None
+        assert cached_catalog(2, tmp_path) == catalogs[2]
+        # verify enumerates the catalogs again instead of ending in a traceback
+        assert main(["verify", "--max-n", "2", "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "23/23 suites passed"
 
     def test_env_var_overrides_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "elsewhere"))
