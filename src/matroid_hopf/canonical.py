@@ -48,7 +48,7 @@ from functools import total_ordering
 from itertools import permutations
 from math import comb
 
-from .matroid import Matroid
+from .matroid import Matroid, elements_of
 
 MAX_GROUND_SET = 10
 
@@ -262,8 +262,12 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
     far: a subtree whose prefix is already worse is skipped, and one whose
     prefix is already better needs no further comparison.
     """
-    members = frozenset(family)
-    twin = _twin_classes(n, members)
+    matroid = Matroid(n, family)
+    members = matroid._iset
+    twin = [0] * n  # per element, the mask of its twin class
+    for cls in matroid.twin_classes():
+        for e in elements_of(cls):
+            twin[e] = cls
     end = 1 << n  # above every mask: marks the end of a block
     orig = [0]  # original masks of the determined prefix, in prefix order
     new = [0]  # their remapped values: the determined prefix itself
@@ -292,11 +296,11 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
         bit = 1 << (n - len(unplaced))
         least: list[int] | None = None
         chosen: list[int] = []
-        seen = 0  # twin classes already branched on, as a bitmask
+        seen = 0  # elements of the twin classes already branched on
         for e in unplaced:
-            if seen >> twin[e] & 1:
+            if seen >> e & 1:
                 continue
-            seen |= 1 << twin[e]
+            seen |= twin[e]
             ebit = 1 << e
             block = [t | bit for s, t in zip(orig, new) if s | ebit in members]
             block.append(end)
@@ -354,26 +358,6 @@ def _orbit_meets(
                 orbit |= 1 << y
                 stack.append(y)
     return False
-
-
-def _twin_classes(n: int, members: frozenset[int]) -> list[int]:
-    """Class index per element: e and f share one iff swapping them fixes
-    the family."""
-    reps: list[int] = []
-    twin = []
-    for e in range(n):
-        for c, f in enumerate(reps):
-            swap = 1 << e | 1 << f
-            if all(
-                (s ^ swap if (s >> e ^ s >> f) & 1 else s) in members
-                for s in members
-            ):
-                twin.append(c)
-                break
-        else:
-            twin.append(len(reps))
-            reps.append(e)
-    return twin
 
 
 def all_permutation_key(matroid: Matroid) -> tuple[int, ...]:

@@ -126,14 +126,16 @@ def save_cache(catalog: Catalog, cache_dir: Path | None = None) -> Path:
 
 def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
     """Read a cached catalog; None when missing, stale, unreadable, when its
-    header's counts differ from ``KNOWN_COUNTS``, or when its records are not
-    distinct classes on n elements."""
+    header is not a JSON object or its counts differ from ``KNOWN_COUNTS``,
+    or when its records are not distinct classes on n elements."""
     path = cache_path(n, cache_dir)
     if not path.is_file():
         return None
     try:
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            return None
         if header.get("version") != CACHE_VERSION or header.get("n") != n:
             return None
         if (header["count"], header["labeled_count"]) != KNOWN_COUNTS.get(n):

@@ -8,7 +8,14 @@ takes that sum over a named family of subsets A: all of them for the
 coproduct, the proper nonempty ones for the reduced coproduct, the
 dependent or independent proper nonempty ones for the split halves.  The
 sum depends only on the isomorphism class, so it is memoized per (mode,
-subsets, class).  On a miss no minor is built per subset.  Each leg is a
+subsets, class).
+
+On a miss the kernel visits one subset per orbit of the group generated
+by the twin transpositions of M (``Matroid.twin_classes``: parallel,
+series, loop and coloop classes, all of U_{r,n}), with the orbit's size as
+its weight.  An automorphism carries A onto an isomorphic pair of legs, so
+every subset of an orbit adds the same term; a twin-free matroid has 2^n
+orbits of one subset each.  No minor is built per subset.  Each leg is a
 minor (M/B)|X, with B = 0 for M|A and M\\A = M|(E - A) and B a basis of A
 for M/A.  ``Monomial.from_matroid`` reads its component masks on M and
 builds one small family per distinct connected block, for both legs, with
@@ -25,11 +32,12 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
+from math import comb
 from typing import Literal
 
 from .canonical import IsoKey, check_size
 from .formal import Monomial, ModuleElement, TensorElement, module_product
-from .matroid import Matroid
+from .matroid import Matroid, elements_of
 
 
 class CoproductMode(Enum):
@@ -42,11 +50,38 @@ SubsetFamily = Literal["all", "proper", "dependent", "independent"]
 _subset_sum_cache: dict[tuple[CoproductMode, SubsetFamily, Monomial], TensorElement] = {}
 
 
+def _orbits(matroid: Matroid) -> list[tuple[int, int]]:
+    """One (subset, weight) per orbit of the twin transpositions' group.
+
+    That group is the product of the symmetric groups on the twin classes
+    T_1..T_k, so the orbit of A is determined by the counts |A & T_i|.  Its
+    representative takes the first k_i elements of each T_i, and its
+    weight, the orbit's size, is the product of the C(|T_i|, k_i).
+    """
+    orbits = [(0, 1)]
+    for cls in matroid.twin_classes():
+        size, prefix = cls.bit_count(), 0
+        choices = [(0, 1)]
+        for k, e in enumerate(elements_of(cls), 1):
+            prefix |= 1 << e
+            choices.append((prefix, comb(size, k)))
+        orbits = [(a | p, w * c) for a, w in orbits for p, c in choices]
+    return orbits
+
+
 def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> TensorElement:
     """Sum over A in the family ``which`` of M|A (x) M\\A (RD) or M|A (x) M/A (RC).
 
     ``which`` is "all" subsets, the "proper" nonempty ones, or the
     "dependent" or "independent" proper nonempty ones.
+
+    The sum runs over ``_orbits(M)``, each representative A with the size
+    of its orbit as weight.  An automorphism g of M maps the family onto
+    itself, so M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A, M\\A and
+    M/A, and g(A) is independent iff A is: every subset of an orbit adds
+    the same pair of leg classes, and lies in ``which`` iff A does (the
+    empty and full sets are orbits of their own).  Without twins every
+    orbit is one subset of weight 1.
 
     No minor is built per A.  Every leg is a minor (M/base)|mask: M|A and
     M\\A = M|(E - A) with base = 0, and M/A = (M/base)|(E - A) with base
@@ -73,18 +108,16 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
     hit = _subset_sum_cache.get(memo_key)
     if hit is not None:
         return hit
-    if which == "all":
-        subsets = range(1 << matroid.n)
-    else:
-        subsets = range(1, full)
-        if which != "proper":
-            independent = which == "independent"
-            subsets = (a for a in subsets if matroid.is_independent(a) == independent)
+    independent = {"dependent": False, "independent": True}.get(which)
     terms: dict[tuple[Monomial, ...], int] = {}
-    for a in subsets:
+    for a, weight in _orbits(matroid):
+        if which != "all" and not 0 < a < full:
+            continue
+        if independent is not None and matroid.is_independent(a) != independent:
+            continue
         base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
         pair = (leg(a, 0), leg(full ^ a, base))
-        terms[pair] = terms.get(pair, 0) + 1
+        terms[pair] = terms.get(pair, 0) + weight
     out = TensorElement(2, terms)
     _subset_sum_cache[memo_key] = out
     return out

@@ -266,6 +266,37 @@ class Matroid:
             blocks = blocks_left + [merged]
         return tuple(sorted(blocks, key=lambda m: m & -m))
 
+    def twin_classes(self) -> tuple[int, ...]:
+        """Masks of the twin classes, ordered by least element.
+
+        e and f are twins iff transposing them maps the family onto itself:
+        parallel, series, loop and coloop classes, and every element of a
+        uniform matroid.  The transposition fixes each set holding both or
+        neither, so it fixes the family iff t + f is independent for every
+        independent t + e with t avoiding f, and as many independent sets
+        hold e as f (that makes the injection t + e -> t + f onto).  A t
+        holding f passes the test by downward closure.  The relation is
+        transitive, since (e g) is (e f)(f g)(e f), so each element is
+        tested against the least element of each class so far.
+        """
+        iset = self._iset
+        links = []  # per element e, the sets s - e for the independent s holding e
+        for e in range(self.n):
+            bit = 1 << e
+            links.append([s ^ bit for s in self.independents if s & bit])
+        classes: list[int] = []
+        for e, link in enumerate(links):
+            for i, cls in enumerate(classes):
+                low = cls & -cls
+                if len(link) == len(links[low.bit_length() - 1]) and all(
+                    (t | low) in iset for t in link
+                ):
+                    classes[i] |= 1 << e
+                    break
+            else:
+                classes.append(1 << e)
+        return tuple(classes)
+
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 

@@ -108,6 +108,15 @@ class TestCache:
         cache_path(1, tmp_path).write_text("not json\n")
         assert load_cache(1, tmp_path) is None
 
+    @pytest.mark.parametrize("header", ["[1]", "5", "null", '"catalog"'])
+    def test_header_must_be_an_object(self, tmp_path, catalogs, header):
+        # valid JSON that is not an object is a stale cache, not a crash
+        path = save_cache(catalogs[1], tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        assert load_cache(1, tmp_path) is None
+        assert cached_catalog(1, tmp_path) == catalogs[1]
+
     def test_cached_catalog_falls_back_to_enumeration(self, tmp_path, catalogs):
         assert cached_catalog(3, tmp_path) == catalogs[3]
 

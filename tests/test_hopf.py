@@ -1,4 +1,5 @@
-from itertools import permutations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -93,9 +94,15 @@ class TestCoproduct:
             # oracle_cases holds isomorphic labelings (m1 + m2 and m2 + m1);
             # each must run the kernel, not take an earlier case's memo
             hopf._subset_sum_cache.clear()
+            full = m.full_mask
             for mode in CoproductMode:
                 want = coproduct_terms(m.independents, m.n, mode.value, lambda a: True)
                 assert tensor_codes(coproduct(mode, m)) == want
+                if m.n:
+                    want = coproduct_terms(
+                        m.independents, m.n, mode.value, lambda a: 0 < a < full
+                    )
+                    assert tensor_codes(reduced_coproduct(mode, m)) == want
 
 
 class TestCoproductMonomial:
@@ -218,6 +225,22 @@ def _subset_sums(m):
     return out
 
 
+def _oracle_subset_sums(m):
+    """The sums of ``_subset_sums(m)``, in its order, by the subset oracle."""
+    full = m.full_mask
+    families = (
+        lambda a: True,
+        lambda a: 0 < a < full,
+        lambda a: 0 < a < full and not m.is_independent(a),
+        lambda a: 0 < a < full and m.is_independent(a),
+    )
+    return [
+        coproduct_terms(m.independents, m.n, mode.value, keep)
+        for mode in CoproductMode
+        for keep in families
+    ]
+
+
 @pytest.mark.parametrize(
     "m",
     [
@@ -231,18 +254,7 @@ def test_memoized_subset_sums_invariant_under_relabeling(m):
     hopf._subset_sum_cache.clear()
     want = _subset_sums(m)
     # the reference values themselves must not have shared a wrong memo entry
-    full = m.full_mask
-    families = (
-        lambda a: True,
-        lambda a: 0 < a < full,
-        lambda a: 0 < a < full and not m.is_independent(a),
-        lambda a: 0 < a < full and m.is_independent(a),
-    )
-    assert [tensor_codes(t) for t in want] == [
-        coproduct_terms(m.independents, m.n, mode.value, keep)
-        for mode in CoproductMode
-        for keep in families
-    ]
+    assert [tensor_codes(t) for t in want] == _oracle_subset_sums(m)
     # an automorphism gives back the same labeled matroid: check each once
     relabelings = {r.independents: r for r in map(m.relabel, permutations(range(m.n)))}
     for r in relabelings.values():
@@ -251,6 +263,62 @@ def test_memoized_subset_sums_invariant_under_relabeling(m):
         assert got == want
         # a second call on the same labeling is served from the memo
         assert all(again is first for again, first in zip(_subset_sums(r), got))
+
+
+# a triple parallel class and a series path closing one cycle, and two self-loops
+MULTIGRAPH = graphic(4, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (2, 2)])
+
+
+@pytest.mark.parametrize(
+    "m", [uniform(3, 8), uniform(0, 7), MULTIGRAPH], ids=["U38", "U07", "multigraph"]
+)
+def test_twin_orbit_sums_match_subset_oracle(m):
+    # large orbit weights: one twin class of 8 or 7, or classes of 3, 3 and 2
+    hopf._subset_sum_cache.clear()
+    assert [tensor_codes(t) for t in _subset_sums(m)] == _oracle_subset_sums(m)
+
+
+@pytest.mark.parametrize(
+    "m, sizes",
+    [
+        (uniform(3, 8), [8]),
+        (graphic(4, combinations(range(4), 2)), [1] * 6),
+        (MULTIGRAPH, [3, 3, 2]),
+    ],
+    ids=["U38", "M(K4)", "multigraph"],
+)
+def test_orbits_cover_each_count_vector_once(m, sizes):
+    classes = m.twin_classes()
+    assert sorted(c.bit_count() for c in classes) == sorted(sizes)
+    orbits = hopf._orbits(m)
+    assert sum(w for _, w in orbits) == 1 << m.n
+    assert len(orbits) == prod(size + 1 for size in sizes)
+    counts = {tuple((a & c).bit_count() for c in classes) for a, _ in orbits}
+    assert len(counts) == len(orbits)
+
+
+def test_cold_coproduct_visits_one_subset_per_orbit(monkeypatch):
+    # U_{3,8} is one twin class: 9 representatives, whose legs are the 9
+    # prefixes and 9 suffixes of 0..7 with the empty and full sets shared
+    # (256 subsets and 256 legs when every subset is visited)
+    monkeypatch.setattr(hopf, "_subset_sum_cache", {})
+    visited, built = [], []
+    orbits, from_matroid = hopf._orbits, Monomial.from_matroid
+
+    def counted_orbits(m):
+        out = orbits(m)
+        visited.extend(out)
+        return out
+
+    def counted_legs(*args):
+        built.append(args)
+        return from_matroid(*args)
+
+    monkeypatch.setattr(hopf, "_orbits", counted_orbits)
+    monkeypatch.setattr(Monomial, "from_matroid", staticmethod(counted_legs))
+    coproduct(CoproductMode.RD, uniform(3, 8))
+    assert len(visited) == 9
+    assert len(built) == 16
 
 
 class TestAntipode:

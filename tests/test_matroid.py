@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -309,6 +311,28 @@ class TestComponents:
     def test_direct_sum_splits(self):
         m = uniform(1, 2).direct_sum(uniform(1, 3))
         assert m.components() == (0b00011, 0b11100)
+
+
+class TestTwinClasses:
+    def test_examples(self, loop_example):
+        assert uniform(3, 8).twin_classes() == (0b11111111,)
+        assert loop_example.twin_classes() == (0b0111, 0b1000)
+        assert graphic(4, combinations(range(4), 2)).twin_classes() == tuple(
+            1 << e for e in range(6)
+        )
+        assert empty_matroid().twin_classes() == ()
+
+    def test_matches_transposition_definition(self, oracle_cases):
+        for m in oracle_cases:
+            classes = m.twin_classes()
+            # disjoint masks covering E, ordered by least element
+            assert sum(classes) == m.full_mask == reduce(or_, classes, 0)
+            assert list(classes) == sorted(classes, key=lambda c: c & -c)
+            for e, f in combinations(range(m.n), 2):
+                swap = list(range(m.n))
+                swap[e], swap[f] = f, e
+                twins = any(c >> e & 1 and c >> f & 1 for c in classes)
+                assert twins == (m.relabel(swap).independents == m.independents)
 
 
 def _in_labels(blocks, ground):
