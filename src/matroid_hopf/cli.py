@@ -86,6 +86,7 @@ def load_matroid_file(path: str) -> Matroid:
     n, sets = record["n"], record["independent"]
     if not _is_int(n) or n < 0:
         raise InputError(f"{path}: 'n' must be a nonnegative integer, got {n!r}")
+    check_size(n)
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise InputError(f"{path}: 'independent' must be a list of element lists")
     for s in sets:
@@ -94,9 +95,7 @@ def load_matroid_file(path: str) -> Matroid:
                 raise InputError(
                     f"{path}: element {e!r} is not an integer in [0, {n})"
                 )
-    m = validate(n, [mask_of(s) for s in sets])
-    check_size(m.n)
-    return m
+    return validate(n, [mask_of(s) for s in sets])
 
 
 def _is_int(value) -> bool:

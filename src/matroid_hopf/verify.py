@@ -4,6 +4,18 @@ Each check runs one family of identities on every isomorphism class up to a
 size bound and reports pass/fail with a short tally.  The CLI `verify`
 subcommand prints these as a table; checks are independent and their
 results are assembled in a fixed order, so output is deterministic.
+
+Most suites hand ``_run_suite`` a name, a unit and an iterable of cases.  A
+case yields ``None`` when its identity holds, and is counted, or a failure
+detail, which ends the suite; a check that is not counted yields only its
+failure.  Only the runner counts cases and builds the ``CheckResult``: the
+first failure detail, or "<count> <unit>".  The dendriform,
+codendriform-gap and monomial-closed-form rows report other tallies and
+build their own results.
+
+``run_all`` calls each ``check_*`` once per row, by its module-level name.
+``perfbench`` rebinds those names to time every suite, so no helper is
+named ``check_*`` and no ``check_*`` calls another.
 """
 
 from __future__ import annotations
@@ -59,120 +71,104 @@ def _pairs(reps, limit: int):
     return ((m1, m2) for m1 in reps for m2 in reps if m1.n + m2.n <= limit)
 
 
+def _run_suite(name: str, unit: str, cases) -> CheckResult:
+    """Count the cases that hold; the first failure detail ends the suite."""
+    count = 0
+    for failure in cases:
+        if failure is not None:
+            return CheckResult(name, False, failure)
+        count += 1
+    return CheckResult(name, True, f"{count} {unit}")
+
+
 def check_axioms(reps) -> CheckResult:
     """Every catalog representative passes the independence axioms."""
-    count = 0
-    for m in reps:
-        revalidated = validate(m.n, m.independents)
-        if revalidated != m:
-            return CheckResult("matroid-axioms", False, f"{m} changed under validate")
-        count += 1
-    return CheckResult("matroid-axioms", True, f"{count} classes")
+    cases = (
+        f"{m} changed under validate" if validate(m.n, m.independents) != m else None
+        for m in reps
+    )
+    return _run_suite("matroid-axioms", "classes", cases)
 
 
 def check_rank_lemmas(reps) -> CheckResult:
     """Submodularity and the rank criterion for independence."""
-    pairs = 0
-    for m in reps:
-        for a in range(1 << m.n):
-            if m.is_independent(a) != (a.bit_count() == m.rank(a)):
-                return CheckResult(
-                    "rank-lemmas", False, f"independence criterion fails on {m}, A={a}"
-                )
-            for b in range(1 << m.n):
-                pairs += 1
-                if m.rank(a | b) + m.rank(a & b) > m.rank(a) + m.rank(b):
-                    return CheckResult(
-                        "rank-lemmas", False, f"submodularity fails on {m}, {a}, {b}"
-                    )
-    return CheckResult("rank-lemmas", True, f"{pairs} subset pairs")
+
+    def cases():
+        for m in reps:
+            for a in range(1 << m.n):
+                if m.is_independent(a) != (a.bit_count() == m.rank(a)):
+                    yield f"independence criterion fails on {m}, A={a}"
+                for b in range(1 << m.n):
+                    bad = m.rank(a | b) + m.rank(a & b) > m.rank(a) + m.rank(b)
+                    yield f"submodularity fails on {m}, {a}, {b}" if bad else None
+
+    return _run_suite("rank-lemmas", "subset pairs", cases())
 
 
 def check_minor_lemmas(reps) -> CheckResult:
-    """Restriction/deletion agreement and the composition identities."""
-    count = 0
-    for m in reps:
-        full = m.full_mask
-        for t in range(1 << m.n):
-            if m.delete(t) != m.restrict(full & ~t):
-                return CheckResult("minor-lemmas", False, f"deletion mismatch on {m}")
-        for x in range(1 << m.n):
-            mx = m.restrict(x)
-            for xp in submasks(x):
-                count += 1
-                relabeled = _relabel_into(x, xp)
-                if mx.restrict(relabeled) != m.restrict(xp):
-                    return CheckResult("minor-lemmas", False, f"res-res fails on {m}")
-                if mx.delete(relabeled) != m.restrict(x & ~xp):
-                    return CheckResult("minor-lemmas", False, f"res-del fails on {m}")
-        for x in range(1 << m.n):
-            mdx = m.delete(x)
-            rest = full & ~x
-            for y in submasks(rest):
-                relabeled = _relabel_into(rest, y)
-                if mdx.restrict(relabeled) != m.restrict(y):
-                    return CheckResult("minor-lemmas", False, f"del-res fails on {m}")
-                if mdx.delete(relabeled) != m.delete(x | y):
-                    return CheckResult("minor-lemmas", False, f"del-del fails on {m}")
-    return CheckResult("minor-lemmas", True, f"{count} nested subsets")
+    """Restriction/deletion agreement and the composition identities.
 
+    A submask of x is labeled in M|x by its index in ``submasks(x)``, as in
+    ``Matroid._minor``.
+    """
 
-def _relabel_into(outer: int, inner: int) -> int:
-    """Rewrite a submask of ``outer`` in the coordinates of the restriction."""
-    out = 0
-    pos = 0
-    e = 0
-    while outer >> e:
-        if outer >> e & 1:
-            if inner >> e & 1:
-                out |= 1 << pos
-            pos += 1
-        e += 1
-    return out
+    def cases():
+        for m in reps:
+            full = m.full_mask
+            for t in range(1 << m.n):
+                if m.delete(t) != m.restrict(full & ~t):
+                    yield f"deletion mismatch on {m}"
+            for x in range(1 << m.n):
+                mx = m.restrict(x)
+                for i, xp in enumerate(submasks(x)):
+                    if mx.restrict(i) != m.restrict(xp):
+                        yield f"res-res fails on {m}"
+                    yield f"res-del fails on {m}" if mx.delete(i) != m.restrict(x & ~xp) else None
+            for x in range(1 << m.n):
+                mdx = m.delete(x)
+                for i, y in enumerate(submasks(full & ~x)):
+                    if mdx.restrict(i) != m.restrict(y):
+                        yield f"del-res fails on {m}"
+                    if mdx.delete(i) != m.delete(x | y):
+                        yield f"del-del fails on {m}"
+
+    return _run_suite("minor-lemmas", "nested subsets", cases())
 
 
 def check_contraction_choice(reps) -> CheckResult:
     """Contraction is independent of the maximal independent subset used."""
-    count = 0
-    for m in reps:
-        for t in range(1 << m.n):
-            expected = m.contract(t)
-            for base in m.maximal_independent_subsets(t):
-                count += 1
-                if m._contract_using(t, base) != expected:
-                    return CheckResult(
-                        "contraction-choice", False, f"choice matters on {m}, T={t}"
-                    )
-    return CheckResult("contraction-choice", True, f"{count} bases tried")
+
+    def cases():
+        for m in reps:
+            for t in range(1 << m.n):
+                expected = m.contract(t)
+                for base in m.maximal_independent_subsets(t):
+                    bad = m._contract_using(t, base) != expected
+                    yield f"choice matters on {m}, T={t}" if bad else None
+
+    return _run_suite("contraction-choice", "bases tried", cases())
 
 
 def check_direct_sum_compat(reps) -> CheckResult:
     """Restriction and deletion commute with direct sums of at most 5 elements."""
-    count = 0
-    for m1, m2 in _pairs(reps, 5):
-        s = m1.direct_sum(m2)
-        for a1 in range(1 << m1.n):
-            for a2 in range(1 << m2.n):
-                count += 1
-                both = a1 | a2 << m1.n
-                if m1.restrict(a1).direct_sum(m2.restrict(a2)) != s.restrict(both):
-                    return CheckResult(
-                        "direct-sum-compat", False, f"restriction fails on {m1},{m2}"
-                    )
-                if m1.delete(a1).direct_sum(m2.delete(a2)) != s.delete(both):
-                    return CheckResult(
-                        "direct-sum-compat", False, f"deletion fails on {m1},{m2}"
-                    )
-    return CheckResult("direct-sum-compat", True, f"{count} subset pairs")
+
+    def cases():
+        for m1, m2 in _pairs(reps, 5):
+            s = m1.direct_sum(m2)
+            for a1 in range(1 << m1.n):
+                for a2 in range(1 << m2.n):
+                    both = a1 | a2 << m1.n
+                    if m1.restrict(a1).direct_sum(m2.restrict(a2)) != s.restrict(both):
+                        yield f"restriction fails on {m1},{m2}"
+                    bad = m1.delete(a1).direct_sum(m2.delete(a2)) != s.delete(both)
+                    yield f"deletion fails on {m1},{m2}" if bad else None
+
+    return _run_suite("direct-sum-compat", "subset pairs", cases())
 
 
 def check_dual_involution(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        count += 1
-        if m.dual().dual() != m:
-            return CheckResult("dual-involution", False, f"fails on {m}")
-    return CheckResult("dual-involution", True, f"{count} classes")
+    cases = (f"fails on {m}" if m.dual().dual() != m else None for m in reps)
+    return _run_suite("dual-involution", "classes", cases)
 
 
 def check_canonical_oracle(reps) -> CheckResult:
@@ -184,93 +180,90 @@ def check_canonical_oracle(reps) -> CheckResult:
     lookup against the search.  The detail text is unchanged, since
     ``perfbench/reference.json`` pins it.
     """
-    count = 0
-    for m in reps:
-        count += 1
-        if canonical_key(m).family != all_permutation_key(m):
-            return CheckResult("canonical-oracle", False, f"fails on {m}")
-        for perm in permutations(range(m.n)):
-            if canonical_key(m.relabel(perm)) != canonical_key(m):
-                return CheckResult("canonical-oracle", False, f"relabel fails on {m}")
-    return CheckResult("canonical-oracle", True, f"{count} classes, all relabelings")
+
+    def cases():
+        for m in reps:
+            if canonical_key(m).family != all_permutation_key(m):
+                yield f"fails on {m}"
+            bad = any(
+                canonical_key(m.relabel(perm)) != canonical_key(m)
+                for perm in permutations(range(m.n))
+            )
+            yield f"relabel fails on {m}" if bad else None
+
+    return _run_suite("canonical-oracle", "classes, all relabelings", cases())
 
 
 def check_coassociativity(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        for mode in CoproductMode:
-            count += 1
-            if iterated_coproduct(mode, m, "left") != iterated_coproduct(mode, m, "right"):
-                return CheckResult(
-                    "coassociativity", False, f"{mode.value} fails on {m}"
-                )
-    return CheckResult("coassociativity", True, f"{count} (class, mode) pairs")
+    cases = (
+        f"{mode.value} fails on {m}"
+        if iterated_coproduct(mode, m, "left") != iterated_coproduct(mode, m, "right")
+        else None
+        for m in reps
+        for mode in CoproductMode
+    )
+    return _run_suite("coassociativity", "(class, mode) pairs", cases)
 
 
 def check_cocommutativity(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        count += 1
-        t = coproduct(CoproductMode.RD, m)
-        if t.swap() != t:
-            return CheckResult("cocommutativity-rd", False, f"fails on {m}")
-    return CheckResult("cocommutativity-rd", True, f"{count} classes")
+    def cases():
+        for m in reps:
+            t = coproduct(CoproductMode.RD, m)
+            yield f"fails on {m}" if t.swap() != t else None
+
+    return _run_suite("cocommutativity-rd", "classes", cases())
 
 
 def check_counit_laws(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        for mode in CoproductMode:
-            count += 1
-            t = coproduct(mode, m)
-            expected = ModuleElement.from_matroid(m)
-            if apply_counit(t, 0) != expected or apply_counit(t, 1) != expected:
-                return CheckResult("counit-laws", False, f"{mode.value} fails on {m}")
-    return CheckResult("counit-laws", True, f"{count} (class, mode) pairs")
+    def cases():
+        for m in reps:
+            for mode in CoproductMode:
+                t = coproduct(mode, m)
+                expected = ModuleElement.from_matroid(m)
+                bad = apply_counit(t, 0) != expected or apply_counit(t, 1) != expected
+                yield f"{mode.value} fails on {m}" if bad else None
+
+    return _run_suite("counit-laws", "(class, mode) pairs", cases())
 
 
 def check_multiplicativity(reps) -> CheckResult:
     """The RD coproduct is multiplicative on direct sums of at most 5 elements.
     Pairs with the empty class are the unit law; with a connected class both
     sides there are the same memo entry."""
-    count = 0
-    for m1, m2 in _pairs(reps, 5):
-        count += 1
-        lhs = coproduct(CoproductMode.RD, m1.direct_sum(m2))
-        rhs = coproduct_monomial(
-            CoproductMode.RD,
-            Monomial.from_matroid(m1) * Monomial.from_matroid(m2),
-        )
-        if lhs != rhs:
-            return CheckResult("multiplicativity", False, f"fails on {m1},{m2}")
-    return CheckResult("multiplicativity", True, f"{count} pairs")
+
+    def cases():
+        for m1, m2 in _pairs(reps, 5):
+            lhs = coproduct(CoproductMode.RD, m1.direct_sum(m2))
+            product = Monomial.from_matroid(m1) * Monomial.from_matroid(m2)
+            rhs = coproduct_monomial(CoproductMode.RD, product)
+            yield f"fails on {m1},{m2}" if lhs != rhs else None
+
+    return _run_suite("multiplicativity", "pairs", cases())
 
 
 def check_antipode_law(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        count += 1
-        zero = ModuleElement.zero()
-        one = ModuleElement.one()
-        expected = one if m.n == 0 else zero
-        if convolve_antipode_identity(m, "left") != expected:
-            return CheckResult("antipode-law", False, f"left side fails on {m}")
-        if convolve_antipode_identity(m, "right") != expected:
-            return CheckResult("antipode-law", False, f"right side fails on {m}")
-    return CheckResult("antipode-law", True, f"{count} classes")
+    def cases():
+        for m in reps:
+            expected = ModuleElement.one() if m.n == 0 else ModuleElement.zero()
+            if convolve_antipode_identity(m, "left") != expected:
+                yield f"left side fails on {m}"
+            bad = convolve_antipode_identity(m, "right") != expected
+            yield f"right side fails on {m}" if bad else None
+
+    return _run_suite("antipode-law", "classes", cases())
 
 
 def check_split_sums(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        if m.n == 0:
-            continue
-        for mode in CoproductMode:
-            count += 1
-            halves = split(mode, m)
-            if halves.prec + halves.succ != reduced_coproduct(mode, m):
-                return CheckResult("split-sum", False, f"{mode.value} fails on {m}")
-    return CheckResult("split-sum", True, f"{count} (class, mode) pairs")
+    def cases():
+        for m in reps:
+            if m.n == 0:
+                continue
+            for mode in CoproductMode:
+                halves = split(mode, m)
+                bad = halves.prec + halves.succ != reduced_coproduct(mode, m)
+                yield f"{mode.value} fails on {m}" if bad else None
+
+    return _run_suite("split-sum", "(class, mode) pairs", cases())
 
 
 def check_dendriform(reps, mode: CoproductMode) -> CheckResult:
@@ -304,61 +297,49 @@ def check_codendriform_witness(reps) -> CheckResult:
 
 def check_exp_closed_form(reps) -> CheckResult:
     f = conv_exp(linear_combination([(X, delta_coloop()), (Y, delta_loop())]))
-    count = 0
-    for m in reps:
-        count += 1
-        c, l = m.element_counts()
-        if f(Monomial.from_matroid(m)) != X**c * Y**l:
-            return CheckResult("exp-closed-form", False, f"fails on {m}")
-    return CheckResult("exp-closed-form", True, f"{count} classes")
+
+    def cases():
+        for m in reps:
+            c, l = m.element_counts()
+            yield f"fails on {m}" if f(Monomial.from_matroid(m)) != X**c * Y**l else None
+
+    return _run_suite("exp-closed-form", "classes", cases())
 
 
 def check_alpha(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        count += 1
-        if alpha(m) != S**m.n * poly_P(m):
-            return CheckResult("alpha-power-identity", False, f"fails on {m}")
-    return CheckResult("alpha-power-identity", True, f"{count} classes")
+    cases = (f"fails on {m}" if alpha(m) != S**m.n * poly_P(m) else None for m in reps)
+    return _run_suite("alpha-power-identity", "classes", cases)
 
 
 def check_alpha_four_factor(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        count += 1
-        if alpha_four_factor(m) != alpha(m):
-            return CheckResult("alpha-four-factor", False, f"fails on {m}")
-    return CheckResult("alpha-four-factor", True, f"{count} classes")
+    cases = (f"fails on {m}" if alpha_four_factor(m) != alpha(m) else None for m in reps)
+    return _run_suite("alpha-four-factor", "classes", cases)
 
 
 def check_alpha_character(reps) -> CheckResult:
     """alpha is multiplicative on direct sums of at most 4 elements."""
-    count = 0
-    for m1, m2 in _pairs(reps, 4):
-        count += 1
-        m = Monomial.from_matroid(m1) * Monomial.from_matroid(m2)
-        if alpha_of_monomial(m) != alpha(m1) * alpha(m2):
-            return CheckResult("alpha-character", False, f"fails on {m1},{m2}")
-    return CheckResult("alpha-character", True, f"{count} pairs")
+    cases = (
+        f"fails on {m1},{m2}"
+        if alpha_of_monomial(Monomial.from_matroid(m1) * Monomial.from_matroid(m2))
+        != alpha(m1) * alpha(m2)
+        else None
+        for m1, m2 in _pairs(reps, 4)
+    )
+    return _run_suite("alpha-character", "pairs", cases)
 
 
 def check_convolution_identity(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        count += 1
-        if poly_P_convolution_rhs(m) != poly_P(m):
-            return CheckResult("convolution-identity", False, f"fails on {m}")
-    return CheckResult("convolution-identity", True, f"{count} classes")
+    cases = (f"fails on {m}" if poly_P_convolution_rhs(m) != poly_P(m) else None for m in reps)
+    return _run_suite("convolution-identity", "classes", cases)
 
 
 def check_recursions(reps) -> CheckResult:
-    count = 0
-    for m in reps:
-        for e in range(m.n):
-            count += 1
-            if not poly_P_recursion_check(m, e):
-                return CheckResult("deletion-recursions", False, f"fails on {m}, e={e}")
-    return CheckResult("deletion-recursions", True, f"{count} elements")
+    cases = (
+        None if poly_P_recursion_check(m, e) else f"fails on {m}, e={e}"
+        for m in reps
+        for e in range(m.n)
+    )
+    return _run_suite("deletion-recursions", "elements", cases)
 
 
 def check_monomial_form(reps) -> CheckResult:

@@ -2,12 +2,13 @@
 
 These deliberately avoid the package's own code paths: families are
 encoded as bitsets over the power set, orbits are taken over all
-permutations directly, minors relabel element by element, components come
-from a scan for every circuit, the antipode is a sum over ordered set
-partitions, and coproduct legs are keyed by the orbit codes of their
-components.
+permutations directly (a family that every relabeling fixes is its own
+orbit), minors relabel element by element, components come from a scan for
+every circuit, the antipode is a sum over ordered set partitions, and
+coproduct legs are keyed by the orbit codes of their components.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -55,7 +56,20 @@ def permuted_family(masks, perm):
 
 
 def orbit_code(masks, n):
-    """Minimal power-set-bitset encoding of the family over all relabelings."""
+    """Minimal power-set-bitset encoding of the family over all relabelings.
+
+    A family that holds every k-subset for each size k it meets, such as a
+    uniform matroid, is fixed by every relabeling and is its own code.
+    """
+    fam = set(masks)
+    sizes = Counter(bin(s).count("1") for s in fam)
+    if all(count == comb(n, k) for k, count in sizes.items()):
+        return sum(1 << s for s in fam)
+    return all_relabelings_code(masks, n)
+
+
+def all_relabelings_code(masks, n):
+    """``orbit_code`` by the minimum over all n! relabelings."""
     best = None
     for perm in permutations(range(n)):
         code = 0

@@ -19,7 +19,7 @@ from matroid_hopf import (
 from matroid_hopf import canonical, hopf
 from matroid_hopf.canonical import _min_relabeling, all_permutation_key
 
-from oracles import orbit_code, permuted_family
+from oracles import all_relabelings_code, orbit_code, permuted_family
 
 
 def test_swap_symmetry():
@@ -73,6 +73,13 @@ def test_matches_independent_orbit_oracle(catalog_reps):
         key = canonical_key(m)
         assert seen.setdefault(code, key) == key
 
+
+def test_orbit_code_shortcut_matches_all_relabelings():
+    # every U_{r,n} takes the oracle's shortcut for relabeling-fixed families
+    for n in range(7):
+        for r in range(n + 1):
+            masks = [s for s in range(1 << n) if bin(s).count("1") <= r]
+            assert orbit_code(masks, n) == all_relabelings_code(masks, n)
 
 
 K4_EDGES = list(combinations(range(4), 2))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import matroid_hopf
+from matroid_hopf import cli
 from matroid_hopf.cli import COMMANDS, main, parse_expression
 from matroid_hopf import uniform, graphic
 from matroid_hopf.canonical import GroundSetTooLarge
@@ -188,6 +189,18 @@ class TestErrors:
         assert child.stdout == ""
         assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
         assert "1000000" in child.stderr
+
+    def test_oversized_input_exits_before_validating(self, capsys, tmp_path, monkeypatch):
+        # validating a file before its size check took over a minute for
+        # U_{8,16}'s 39,203 sets, only to be rejected afterwards
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 11, "independent": [[]]}))
+        monkeypatch.setattr(cli, "validate", lambda *args: pytest.fail("validate was called"))
+        code, out, err = run(capsys, "show", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "11" in err
 
     def test_oversized_expression_exits_before_building(self, capsys):
         # 30 edges: building the family first would walk 2^30 edge subsets

@@ -1,5 +1,8 @@
-from matroid_hopf import Monomial, TensorElement, uniform, verify
-from matroid_hopf.verify import CheckResult, check_monomial_form, check_multiplicativity, run_all
+import pytest
+
+from matroid_hopf import Matroid, ModuleElement, Monomial, TensorElement, uniform, verify
+from matroid_hopf.formal import S, X
+from matroid_hopf.verify import CheckResult, check_monomial_form, run_all
 
 # every suite's outcome and detail at the default bound, as `verify --all` prints them
 GOLDEN_N4 = [
@@ -59,15 +62,128 @@ def test_monomial_form_skips_pairs_over_the_ground_set_bound():
     assert result.detail == "4 classes plus witnesses; 4 pairs over 10 elements skipped"
 
 
-def test_multiplicativity_catches_a_wrong_product_coproduct(monkeypatch, catalog_reps):
+def _replace(target, name, make):
+    """A breaker that rebinds ``target.name`` to ``make(original)``."""
+
+    def apply(monkeypatch):
+        monkeypatch.setattr(target, name, make(getattr(target, name)))
+
+    return apply
+
+
+def _reversed_restrict(real):
+    # a proper restriction lists its family backwards, so restricting twice
+    # restores the order and the composition identity sees two tuples
+    def restrict(self, mask):
+        out = real(self, mask)
+        return out if out is self else Matroid(out.n, out.independents[::-1])
+
+    return restrict
+
+
+def _square_rank(monkeypatch):
+    # rank |A|^2 is supermodular; independence by |A| <= 1 keeps the
+    # rank criterion holding, so submodularity is what fails
+    monkeypatch.setattr(Matroid, "rank", lambda self, mask=None: mask.bit_count() ** 2)
+    monkeypatch.setattr(Matroid, "is_independent", lambda self, mask: mask.bit_count() <= 1)
+
+
+def _wrong_on_products(real):
     # the product side must not be read back from the memo of the direct sum
     # side, or the check would compare a value with itself
-    real = verify.coproduct_monomial
     spurious = TensorElement.from_term((Monomial.unit(), Monomial.unit()))
+    return lambda mode, m: real(mode, m) + spurious if len(m.factors) >= 2 else real(mode, m)
 
-    def wrong_on_products(mode, m):
-        out = real(mode, m)
-        return out + spurious if len(m.factors) >= 2 else out
 
-    monkeypatch.setattr(verify, "coproduct_monomial", wrong_on_products)
-    assert not check_multiplicativity(catalog_reps).ok
+def _asymmetric(real):
+    extra = TensorElement.from_term((Monomial.unit(), Monomial.from_matroid(uniform(1, 1))))
+    return lambda mode, m: real(mode, m) + extra
+
+
+def _wrong_on(side):
+    return lambda real: lambda m, s: ModuleElement.zero() if s == side else real(m, s)
+
+
+E = "Matroid(n=0, |I|=1)"  # the empty class, first in catalog order
+U01 = uniform(0, 1)
+
+
+def _constant(value):
+    return lambda real: lambda *args: value
+
+
+# (suite, row, breaker, the parent's failure detail)
+FAILURES = [
+    ("check_axioms", "matroid-axioms", _replace(verify, "validate", _constant(U01)),
+     f"{E} changed under validate"),
+    ("check_rank_lemmas", "rank-lemmas",
+     _replace(Matroid, "is_independent", lambda real: lambda self, a: not real(self, a)),
+     f"independence criterion fails on {E}, A=0"),
+    ("check_rank_lemmas", "rank-lemmas", _square_rank,
+     "submodularity fails on Matroid(n=2, |I|=1), 1, 2"),
+    ("check_minor_lemmas", "minor-lemmas", _replace(Matroid, "delete", _constant(U01)),
+     f"deletion mismatch on {E}"),
+    ("check_minor_lemmas", "minor-lemmas", _replace(Matroid, "restrict", _reversed_restrict),
+     "res-res fails on Matroid(n=3, |I|=2)"),
+    ("check_contraction_choice", "contraction-choice",
+     _replace(Matroid, "contract", _constant(U01)),
+     f"choice matters on {E}, T=0"),
+    ("check_direct_sum_compat", "direct-sum-compat",
+     _replace(Matroid, "direct_sum", _constant(U01)),
+     f"restriction fails on {E},{E}"),
+    ("check_direct_sum_compat", "direct-sum-compat", _replace(Matroid, "delete", _constant(U01)),
+     f"deletion fails on {E},{E}"),
+    ("check_dual_involution", "dual-involution", _replace(Matroid, "dual", _constant(U01)),
+     f"fails on {E}"),
+    ("check_canonical_oracle", "canonical-oracle",
+     _replace(verify, "all_permutation_key", _constant(())),
+     f"fails on {E}"),
+    ("check_canonical_oracle", "canonical-oracle", _replace(Matroid, "relabel", _constant(U01)),
+     f"relabel fails on {E}"),
+    ("check_coassociativity", "coassociativity",
+     _replace(verify, "iterated_coproduct", lambda real: lambda mode, m, side: side),
+     f"rc fails on {E}"),
+    ("check_cocommutativity", "cocommutativity-rd", _replace(verify, "coproduct", _asymmetric),
+     f"fails on {E}"),
+    ("check_counit_laws", "counit-laws",
+     _replace(verify, "apply_counit", _constant(ModuleElement.zero())),
+     f"rc fails on {E}"),
+    ("check_multiplicativity", "multiplicativity",
+     _replace(verify, "coproduct_monomial", _wrong_on_products),
+     f"fails on {E},Matroid(n=2, |I|=1)"),
+    ("check_antipode_law", "antipode-law",
+     _replace(verify, "convolve_antipode_identity", _wrong_on("left")),
+     f"left side fails on {E}"),
+    ("check_antipode_law", "antipode-law",
+     _replace(verify, "convolve_antipode_identity", _wrong_on("right")),
+     f"right side fails on {E}"),
+    ("check_split_sums", "split-sum", _replace(verify, "reduced_coproduct", _asymmetric),
+     "rc fails on Matroid(n=1, |I|=1)"),
+    ("check_exp_closed_form", "exp-closed-form",
+     _replace(verify, "conv_exp", lambda real: lambda f: lambda m: X),
+     f"fails on {E}"),
+    ("check_alpha", "alpha-power-identity", _replace(verify, "alpha", _constant(S)),
+     f"fails on {E}"),
+    ("check_alpha_four_factor", "alpha-four-factor",
+     _replace(verify, "alpha_four_factor", _constant(S)),
+     f"fails on {E}"),
+    ("check_alpha_character", "alpha-character",
+     _replace(verify, "alpha_of_monomial", _constant(S)),
+     f"fails on {E},{E}"),
+    ("check_convolution_identity", "convolution-identity",
+     _replace(verify, "poly_P_convolution_rhs", _constant(X)),
+     f"fails on {E}"),
+    ("check_recursions", "deletion-recursions",
+     _replace(verify, "poly_P_recursion_check", _constant(False)),
+     "fails on Matroid(n=1, |I|=1), e=0"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, row, breaker, detail", FAILURES, ids=[row for _, row, _, _ in FAILURES]
+)
+def test_failure_details(monkeypatch, catalog_reps, suite, row, breaker, detail):
+    # each suite reports the first case that breaks, in catalog order
+    suite_fn = getattr(verify, suite)
+    breaker(monkeypatch)
+    assert suite_fn(catalog_reps) == CheckResult(row, False, detail)
