@@ -103,10 +103,13 @@ class IsoKey:
         return self.render()
 
 
+# A dict rather than a functools.cache: canonical_key stores each key under
+# two families, the one it was asked for and the canonical one.
 _key_cache: dict[tuple[int, tuple[int, ...]], IsoKey] = {}
 
 Profiles = tuple[tuple[int, ...], ...]
-# Every searched family with its key, bucketed by _bucket_key.
+# Every searched family with its key, bucketed by _bucket_key: an index that
+# lookups scan, not a memo of one function's results.
 _bucket_cache: dict[tuple, list[tuple[IsoKey, frozenset[int], Profiles]]] = {}
 
 

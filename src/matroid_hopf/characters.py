@@ -10,7 +10,7 @@ subset-sum polynomial invariant up to a power of s.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cache
 from math import comb
 
 from .canonical import check_size
@@ -28,7 +28,9 @@ class LinearFunctional:
 
     ``integer_valued`` marks functionals whose values provably have integer
     coefficients; the convolution exponential asserts that its divisions by
-    the degree leave them integral.
+    the degree leave them integral.  The memo is a dict on the instance, not
+    a ``functools.cache`` wrapper, so that ``__call__`` stays a plain method
+    that ``perfbench/tracer.py`` can wrap by name.
     """
 
     def __init__(self, rule, name: str = "", integer_valued: bool = False):
@@ -60,13 +62,13 @@ def indicator(key_matroid: Matroid, name: str) -> LinearFunctional:
     return LinearFunctional(rule, name, integer_valued=True)
 
 
-@lru_cache(maxsize=None)
+@cache
 def delta_loop() -> LinearFunctional:
     """1 on the class of a single loop, 0 elsewhere."""
     return indicator(uniform(0, 1), "delta_loop")
 
 
-@lru_cache(maxsize=None)
+@cache
 def delta_coloop() -> LinearFunctional:
     """1 on the class of a single coloop, 0 elsewhere."""
     return indicator(uniform(1, 1), "delta_coloop")
@@ -152,7 +154,7 @@ def _exp_s(coloop: Polynomial, loop: Polynomial, name: str) -> LinearFunctional:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def alpha_functional() -> LinearFunctional:
     """exp(s(coloop + (y-1) loop)) convolved with exp(s((x-1) coloop + loop))."""
     return convolve(
@@ -160,7 +162,7 @@ def alpha_functional() -> LinearFunctional:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def alpha_four_factor_functional() -> LinearFunctional:
     """Four-factor form: the pair of mutually inverse middle exponentials inserted."""
     out = _exp_s(ONE, Y - ONE, "s{dc+(y-1)dl}")

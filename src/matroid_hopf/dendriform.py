@@ -15,7 +15,8 @@ independent sets B, C whose union is a dependent proper subset of E.  The
 pair does not satisfy the codendriform bialgebra compatibility, and the gap
 is computable.
 
-The kernel memoizes each of the three sums per (mode, subsets, class).
+The kernel memoizes each of the three sums per (mode, subsets, class), and
+the axiom checks hand it the legs' classes without building matroids.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .formal import Monomial, TensorElement
-from .hopf import CoproductMode, _subset_sum
+from .hopf import CoproductMode, _class_subset_sum, _subset_sum
 from .matroid import Matroid
 
 
@@ -76,8 +77,12 @@ def _split_sum(mode: CoproductMode, matroid: Matroid, half: SplitHalf) -> Tensor
 def _compose(
     mode: CoproductMode, outer: TensorElement, leg: int, half: SplitHalf
 ) -> TensorElement:
-    """Apply a split map to one leg of an arity-2 tensor, giving arity 3."""
-    return outer.expand_leg(leg, lambda m: _split_sum(mode, m.matroid(), half))
+    """Apply a split map to one leg of an arity-2 tensor, giving arity 3.
+
+    The legs of a split are nonempty classes, so each goes to the kernel as
+    it is.
+    """
+    return outer.expand_leg(leg, lambda m: _class_subset_sum(mode, half.value, m))
 
 
 @dataclass(frozen=True)

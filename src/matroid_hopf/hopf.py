@@ -3,12 +3,20 @@
 The restriction-contraction coproduct sends a matroid to the sum over all
 ground-set subsets A of (restriction to A) tensor (contraction of A); the
 restriction-deletion coproduct replaces the contraction with the deletion.
-Both extend multiplicatively to monomials.  One kernel, ``_subset_sum``,
-takes that sum over a named family of subsets A: all of them for the
-coproduct, the proper nonempty ones for the reduced coproduct, the
-dependent or independent proper nonempty ones for the split halves.  The
-sum depends only on the isomorphism class, so it is memoized per (mode,
-subsets, class).
+Both extend multiplicatively to monomials.  One kernel takes that sum over
+a named family of subsets A: all of them for the coproduct, the proper
+nonempty ones for the reduced coproduct, the dependent or independent
+proper nonempty ones for the split halves.  The sum depends only on the
+isomorphism class, so the kernel is a function of the class:
+``_class_subset_sum`` is memoized with ``functools.cache`` per (mode,
+subsets, class monomial) and walks the class's representative
+``cls.matroid()``.  ``_subset_sum`` only canonicalizes a labeled matroid
+into its class, and callers that already hold a class, such as the monomial
+coproduct and the dendriform axiom checks, pass it directly.  The
+coproduct of a product of two or more factors is the legwise product of
+the factors' coproducts, cached apart; it never reads the kernel's entry
+for the product's own class, so multiplicativity checks compare two
+separate computations.  The antipode is cached per monomial.
 
 On a miss the kernel visits one subset per orbit of the group generated
 by the twin transpositions of M (``Matroid.twin_classes``: parallel,
@@ -31,7 +39,7 @@ coproduct of m with a != m.
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from math import comb
 from typing import Literal
 
@@ -46,8 +54,6 @@ class CoproductMode(Enum):
 
 
 SubsetFamily = Literal["all", "proper", "dependent", "independent"]
-
-_subset_sum_cache: dict[tuple[CoproductMode, SubsetFamily, Monomial], TensorElement] = {}
 
 
 def _orbits(matroid: Matroid) -> list[tuple[int, int]]:
@@ -73,15 +79,25 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
     """Sum over A in the family ``which`` of M|A (x) M\\A (RD) or M|A (x) M/A (RC).
 
     ``which`` is "all" subsets, the "proper" nonempty ones, or the
-    "dependent" or "independent" proper nonempty ones.
+    "dependent" or "independent" proper nonempty ones.  The sum is that of
+    M's class, so this only checks the size and canonicalizes M.
+    """
+    check_size(matroid.n)
+    return _class_subset_sum(mode, which, Monomial.from_matroid(matroid))
 
-    The sum runs over ``_orbits(M)``, each representative A with the size
-    of its orbit as weight.  An automorphism g of M maps the family onto
-    itself, so M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A, M\\A and
-    M/A, and g(A) is independent iff A is: every subset of an orbit adds
-    the same pair of leg classes, and lies in ``which`` iff A does (the
-    empty and full sets are orbits of their own).  Without twins every
-    orbit is one subset of weight 1.
+
+@cache
+def _class_subset_sum(mode: CoproductMode, which: SubsetFamily, cls: Monomial) -> TensorElement:
+    """``_subset_sum`` of the class ``cls``, memoized per (mode, which, cls).
+
+    The walk runs on the representative M = ``cls.matroid()``.  It goes over
+    ``_orbits(M)``, each representative A with the size of its orbit as
+    weight.  An automorphism g of M maps the family onto itself, so
+    M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A, M\\A and M/A, and g(A)
+    is independent iff A is: every subset of an orbit adds the same pair of
+    leg classes, and lies in ``which`` iff A does (the empty and full sets
+    are orbits of their own).  Without twins every orbit is one subset of
+    weight 1.
 
     No minor is built per A.  Every leg is a minor (M/base)|mask: M|A and
     M\\A = M|(E - A) with base = 0, and M/A = (M/base)|(E - A) with base
@@ -89,12 +105,11 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
     block_keys)`` reads its component masks on M and builds and
     canonicalizes one family per block, and ``block_keys`` shares each
     (block, base) between the legs of the call.  Each (mask, base) leg is
-    computed once per call; the class of M, which keys the memo, is the
-    leg (E, 0).
+    computed once per call; ``cls`` itself is the leg (E, 0).
     """
-    check_size(matroid.n)
+    matroid = cls.matroid()
     full = matroid.full_mask
-    legs: dict[tuple[int, int], Monomial] = {}
+    legs: dict[tuple[int, int], Monomial] = {(full, 0): cls}
     block_keys: dict[tuple[int, int], IsoKey] = {}
 
     def leg(mask: int, base: int) -> Monomial:
@@ -103,11 +118,6 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
             out = legs[mask, base] = Monomial.from_matroid(matroid, mask, base, block_keys)
         return out
 
-    cls = leg(full, 0)
-    memo_key = (mode, which, cls)
-    hit = _subset_sum_cache.get(memo_key)
-    if hit is not None:
-        return hit
     independent = {"dependent": False, "independent": True}.get(which)
     terms: dict[tuple[Monomial, ...], int] = {}
     for a, weight in _orbits(matroid):
@@ -118,9 +128,7 @@ def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> T
         base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
         pair = (leg(a, 0), leg(full ^ a, base))
         terms[pair] = terms.get(pair, 0) + weight
-    out = TensorElement(2, terms)
-    _subset_sum_cache[memo_key] = out
-    return out
+    return TensorElement(2, terms)
 
 
 def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
@@ -128,26 +136,24 @@ def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
     return _subset_sum(mode, matroid, "all")
 
 
-_coproduct_monomial_cache: dict[tuple[CoproductMode, Monomial], TensorElement] = {}
-
-
 def coproduct_monomial(mode: CoproductMode, m: Monomial) -> TensorElement:
     """Multiplicative extension of the coproduct to monomials.
 
-    A one-factor monomial is the memoized coproduct of its class.  A
-    product of two or more factors is the legwise product of theirs,
-    memoized here and never taken from the kernel's memo, so that checks of
-    multiplicativity compare two separate computations.
+    A one-factor monomial is a class, whose coproduct is the kernel's.  A
+    product of two or more factors is the legwise product of theirs, cached
+    apart and never taken from the kernel's entry for the product's class,
+    so that checks of multiplicativity compare two separate computations.
     """
     if len(m.factors) == 1:
-        return coproduct(mode, m.factors[0].matroid())
-    hit = _coproduct_monomial_cache.get((mode, m))
-    if hit is not None:
-        return hit
+        return _class_subset_sum(mode, "all", m)
+    return _coproduct_product(mode, m)
+
+
+@cache
+def _coproduct_product(mode: CoproductMode, m: Monomial) -> TensorElement:
     out = TensorElement.from_term((Monomial.unit(), Monomial.unit()))
     for key in m.factors:
-        out = out.legwise_product(coproduct(mode, key.matroid()))
-    _coproduct_monomial_cache[(mode, m)] = out
+        out = out.legwise_product(_class_subset_sum(mode, "all", Monomial((key,))))
     return out
 
 
@@ -188,9 +194,6 @@ def apply_counit(t: TensorElement, leg: int) -> ModuleElement:
     return ModuleElement(out)
 
 
-_antipode_cache: dict[Monomial, ModuleElement] = {}
-
-
 def antipode_rd(key: IsoKey) -> ModuleElement:
     """Antipode of a matroid class in the restriction-deletion Hopf algebra.
 
@@ -201,20 +204,17 @@ def antipode_rd(key: IsoKey) -> ModuleElement:
     return _antipode(Monomial.from_matroid(key.matroid()))
 
 
+@cache
 def _antipode(m: Monomial) -> ModuleElement:
-    hit = _antipode_cache.get(m)
-    if hit is not None:
-        return hit
     if len(m.factors) == 1:
         result = ModuleElement.zero()
         for (a, b), c in coproduct_monomial(CoproductMode.RD, m).terms.items():
             if a != m:
                 result = result - c * module_product(_antipode(a), ModuleElement.from_monomial(b))
-    else:
-        result = ModuleElement.one()
-        for key in m.factors:
-            result = module_product(result, _antipode(Monomial((key,))))
-    _antipode_cache[m] = result
+        return result
+    result = ModuleElement.one()
+    for key in m.factors:
+        result = module_product(result, _antipode(Monomial((key,))))
     return result
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: families are
 encoded as bitsets over the power set, orbits are taken over all
 permutations directly (a family that every relabeling fixes is its own
-orbit), minors relabel element by element, components come from a scan for
+orbit), the least relabeled family walks all n! relabelings by one
+transposition each (Heap's algorithm), minors relabel element by element, components come from a scan for
 every circuit, the antipode is a sum over ordered set partitions, and
 coproduct legs are keyed by the orbit codes of their components.
 """
@@ -78,6 +79,31 @@ def all_relabelings_code(masks, n):
         if best is None or code < best:
             best = code
     return best
+
+
+def least_relabeled_family(masks, n):
+    """The least sorted family over all n! relabelings, as a tuple.
+
+    Heap's algorithm reaches every relabeling from the previous one by one
+    transposition of two labels i and j, so each step swaps bits i and j in
+    the masks that hold exactly one of them.
+    """
+    fam = list(masks)
+    best = sorted(fam)
+    count = [0] * n
+    i = 1
+    while i < n:
+        if count[i] < i:
+            j = 0 if i % 2 == 0 else count[i]
+            swap = 1 << i | 1 << j
+            fam = [s ^ swap if (s >> i ^ s >> j) & 1 else s for s in fam]
+            best = min(best, sorted(fam))
+            count[i] += 1
+            i = 1
+        else:
+            count[i] = 0
+            i += 1
+    return tuple(best)
 
 
 def unpruned_counts(n):

@@ -19,7 +19,12 @@ from matroid_hopf import (
 from matroid_hopf import canonical, hopf
 from matroid_hopf.canonical import _min_relabeling, all_permutation_key
 
-from oracles import all_relabelings_code, orbit_code, permuted_family
+from oracles import (
+    all_relabelings_code,
+    least_relabeled_family,
+    orbit_code,
+    permuted_family,
+)
 
 
 def test_swap_symmetry():
@@ -108,7 +113,16 @@ ORACLE_INPUTS = {
 
 @lru_cache(maxsize=None)
 def oracle_family(name):
-    return all_permutation_key(ORACLE_INPUTS[name])
+    m = ORACLE_INPUTS[name]
+    return least_relabeled_family(m.independents, m.n)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, m in ORACLE_INPUTS.items() if m.n <= 7)
+)
+def test_all_permutation_key_matches_transposition_oracle(name):
+    # the package's own n! reference against the test oracle (8! is slow)
+    assert all_permutation_key(ORACLE_INPUTS[name]) == oracle_family(name)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
@@ -288,7 +302,7 @@ def test_cold_coproduct_searches_each_class_once(monkeypatch):
     # isomorphic blocks of one coproduct take the first block's key: one
     # search per distinct non-uniform class (223 searches without the lookup)
     _cold_canonical_memos(monkeypatch)
-    monkeypatch.setattr(hopf, "_subset_sum_cache", {})
+    hopf._class_subset_sum.cache_clear()
     searched = []
 
     def counted(n, family):

@@ -257,6 +257,13 @@ class TestVerifyAndEnumerate:
         assert code == 0
         assert all(line.startswith("ok") for line in lines[:-1])
 
+    def test_verify_without_nonempty_classes_passes(self, capsys, tmp_path):
+        # only the empty class: every suite passes, the witness suite with
+        # no pair tried
+        assert main(["verify", "--max-n", "0", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "ok   codendriform-gap      no pair of nonempty classes tried" in out
+
     def test_verify_json(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "verify", "--json", "--max-n", "1", "--cache-dir", str(tmp_path)

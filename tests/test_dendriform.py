@@ -3,11 +3,14 @@ import pytest
 from matroid_hopf import (
     CoproductMode,
     EmptyMatroidError,
+    IsoKey,
     Monomial,
     TensorElement,
     check_dendriform_axioms,
     codendriform_gap,
+    coproduct_monomial,
     empty_matroid,
+    graphic,
     reduced_coproduct,
     split,
     uniform,
@@ -74,8 +77,8 @@ class TestSplit:
         for m in oracle_cases:
             if m.n == 0:
                 continue
-            # each labeled input runs the kernel, not an isomorphic case's memo
-            hopf._subset_sum_cache.clear()
+            # each input's class runs the kernel, not an isomorphic case's memo
+            hopf._class_subset_sum.cache_clear()
             fam, full = set(m.independents), (1 << m.n) - 1
 
             def prec(a):
@@ -171,3 +174,28 @@ class TestCodendriformGap:
             codendriform_gap(empty_matroid(), uniform(1, 1))
         with pytest.raises(EmptyMatroidError):
             codendriform_gap(uniform(1, 1), empty_matroid())
+
+
+def test_warm_class_calls_build_no_matroid(monkeypatch):
+    # the kernel is keyed by class: a caller that holds a class hands it
+    # over as it is, not as a matroid built only to be canonicalized again
+    m = graphic(4, [(0, 1), (1, 2), (0, 2), (0, 1), (2, 3), (3, 3)])
+    cls = Monomial((next(k for k in mono(m).factors if k.n == 4),))
+
+    def calls():
+        for mode in CoproductMode:
+            coproduct_monomial(mode, cls)
+            check_dendriform_axioms(mode, m)
+
+    calls()  # warm every memo
+    built = []
+    for owner in (IsoKey, Monomial):
+        original = owner.matroid
+
+        def counted(self, original=original):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(owner, "matroid", counted)
+    calls()
+    assert built == []

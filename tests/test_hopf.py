@@ -93,7 +93,7 @@ class TestCoproduct:
         for m in oracle_cases:
             # oracle_cases holds isomorphic labelings (m1 + m2 and m2 + m1);
             # each must run the kernel, not take an earlier case's memo
-            hopf._subset_sum_cache.clear()
+            hopf._class_subset_sum.cache_clear()
             full = m.full_mask
             for mode in CoproductMode:
                 want = coproduct_terms(m.independents, m.n, mode.value, lambda a: True)
@@ -251,14 +251,14 @@ def _oracle_subset_sums(m):
     ids=["triangle+parallel+coloop+loop", "U24+U01"],
 )
 def test_memoized_subset_sums_invariant_under_relabeling(m):
-    hopf._subset_sum_cache.clear()
+    hopf._class_subset_sum.cache_clear()
     want = _subset_sums(m)
     # the reference values themselves must not have shared a wrong memo entry
     assert [tensor_codes(t) for t in want] == _oracle_subset_sums(m)
     # an automorphism gives back the same labeled matroid: check each once
     relabelings = {r.independents: r for r in map(m.relabel, permutations(range(m.n)))}
     for r in relabelings.values():
-        hopf._subset_sum_cache.clear()
+        hopf._class_subset_sum.cache_clear()
         got = _subset_sums(r)
         assert got == want
         # a second call on the same labeling is served from the memo
@@ -274,7 +274,7 @@ MULTIGRAPH = graphic(4, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 0),
 )
 def test_twin_orbit_sums_match_subset_oracle(m):
     # large orbit weights: one twin class of 8 or 7, or classes of 3, 3 and 2
-    hopf._subset_sum_cache.clear()
+    hopf._class_subset_sum.cache_clear()
     assert [tensor_codes(t) for t in _subset_sums(m)] == _oracle_subset_sums(m)
 
 
@@ -299,9 +299,10 @@ def test_orbits_cover_each_count_vector_once(m, sizes):
 
 def test_cold_coproduct_visits_one_subset_per_orbit(monkeypatch):
     # U_{3,8} is one twin class: 9 representatives, whose legs are the 9
-    # prefixes and 9 suffixes of 0..7 with the empty and full sets shared
-    # (256 subsets and 256 legs when every subset is visited)
-    monkeypatch.setattr(hopf, "_subset_sum_cache", {})
+    # prefixes and 9 suffixes of 0..7 with the empty and full sets shared;
+    # the full leg is the class, built before the walk (256 subsets and 256
+    # legs when every subset is visited)
+    hopf._class_subset_sum.cache_clear()
     visited, built = [], []
     orbits, from_matroid = hopf._orbits, Monomial.from_matroid
 
