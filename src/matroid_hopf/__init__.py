@@ -7,6 +7,7 @@ from .matroid import (
     AxiomViolation,
     BadElement,
     BadVertexIndex,
+    GroundSetTooLarge,
     InvalidRank,
     Matroid,
     elements_of,
@@ -18,7 +19,6 @@ from .matroid import (
     validate,
 )
 from .canonical import (
-    GroundSetTooLarge,
     IsoKey,
     canonical_key,
     is_isomorphic,
@@ -76,10 +76,10 @@ from .catalog import (
 )
 
 __all__ = [
-    "AxiomViolation", "BadElement", "BadVertexIndex", "InvalidRank", "Matroid",
-    "elements_of", "empty_matroid", "graphic", "mask_of", "submasks", "uniform",
-    "validate",
-    "GroundSetTooLarge", "IsoKey", "canonical_key", "is_isomorphic",
+    "AxiomViolation", "BadElement", "BadVertexIndex", "GroundSetTooLarge",
+    "InvalidRank", "Matroid", "elements_of", "empty_matroid", "graphic",
+    "mask_of", "submasks", "uniform", "validate",
+    "IsoKey", "canonical_key", "is_isomorphic",
     "ArityMismatch", "ModuleElement", "Monomial", "Polynomial", "TensorElement",
     "module_product",
     "CoproductMode", "antipode_element", "antipode_rd", "coproduct",

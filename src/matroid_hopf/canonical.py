@@ -48,24 +48,7 @@ from functools import total_ordering
 from itertools import permutations
 from math import comb
 
-from .matroid import Matroid, elements_of
-
-MAX_GROUND_SET = 10
-
-
-class GroundSetTooLarge(ValueError):
-    def __init__(self, n: int):
-        super().__init__(
-            f"ground set of size {n} exceeds the canonicalization limit "
-            f"{MAX_GROUND_SET}"
-        )
-        self.n = n
-
-
-def check_size(n: int) -> None:
-    """Raise GroundSetTooLarge for a ground set above MAX_GROUND_SET."""
-    if n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(n)
+from .matroid import Matroid, check_size, elements_of
 
 
 @total_ordering

@@ -127,6 +127,7 @@ def save_cache(catalog: Catalog, cache_dir: Path | None = None) -> Path:
 def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
     """Read a cached catalog; None when missing, stale, unreadable, when its
     header is not a JSON object or its counts differ from ``KNOWN_COUNTS``,
+    when a record fails ``Matroid.from_dict``, the reader of ``--input``,
     or when its records are not distinct classes on n elements."""
     path = cache_path(n, cache_dir)
     if not path.is_file():

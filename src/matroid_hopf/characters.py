@@ -13,10 +13,9 @@ from collections import Counter
 from functools import cache
 from math import comb
 
-from .canonical import check_size
 from .formal import Monomial, Polynomial, ONE, S, X, Y, ZERO
 from .hopf import CoproductMode, coproduct_monomial
-from .matroid import Matroid, uniform
+from .matroid import Matroid, check_size, uniform
 
 
 class NotInfinitesimal(ValueError):

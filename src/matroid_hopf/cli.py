@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .canonical import GroundSetTooLarge, canonical_key, check_size
+from .canonical import canonical_key
 from .catalog import (
     CatalogTooLarge,
     MAX_CATALOG_N,
@@ -30,12 +30,13 @@ from .hopf import CoproductMode, antipode_rd, coproduct
 from .matroid import (
     AxiomViolation,
     BadVertexIndex,
+    GroundSetTooLarge,
     InvalidRank,
+    MalformedRecord,
     Matroid,
+    check_size,
     graphic,
-    mask_of,
     uniform,
-    validate,
 )
 from .verify import run_all
 
@@ -81,26 +82,10 @@ def load_matroid_file(path: str) -> Matroid:
         record = json.loads(Path(path).read_text())
     except (OSError, ValueError) as err:
         raise InputError(f"cannot read matroid file {path}: {err}") from err
-    if not isinstance(record, dict) or "n" not in record or "independent" not in record:
-        raise InputError(f"{path}: expected an object with keys 'n' and 'independent'")
-    n, sets = record["n"], record["independent"]
-    if not _is_int(n) or n < 0:
-        raise InputError(f"{path}: 'n' must be a nonnegative integer, got {n!r}")
-    check_size(n)
-    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
-        raise InputError(f"{path}: 'independent' must be a list of element lists")
-    for s in sets:
-        for e in s:
-            if not _is_int(e) or not 0 <= e < n:
-                raise InputError(
-                    f"{path}: element {e!r} is not an integer in [0, {n})"
-                )
-    return validate(n, [mask_of(s) for s in sets])
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
+    try:
+        return Matroid.from_dict(record)
+    except MalformedRecord as err:
+        raise InputError(f"{path}: {err}") from err
 
 
 def _nonnegative_int(text: str) -> int:

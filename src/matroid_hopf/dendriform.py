@@ -3,8 +3,9 @@
 The reduced coproduct (full coproduct minus both boundary terms) splits
 into a left part summing over dependent proper nonempty subsets and a right
 part summing over independent ones.  All three are the subset-sum kernel of
-``hopf`` over the proper nonempty subsets, filtered by independence for the
-halves; the axiom checks apply a split to one leg through
+``hopf``, named by its ``SubsetFamily``: "proper" for the reduced
+coproduct, "dependent" for the left half prec and "independent" for the
+right half succ.  The axiom checks apply a split to one leg through
 ``TensorElement.expand_leg``.  The restriction-contraction split
 satisfies all three dendriform coalgebra axioms.  The restriction-deletion
 split satisfies axiom 1; it fails axioms 2 and 3 exactly when the matroid
@@ -22,23 +23,14 @@ the axiom checks hand it the legs' classes without building matroids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .formal import Monomial, TensorElement
-from .hopf import CoproductMode, _class_subset_sum, _subset_sum
+from .hopf import CoproductMode, SubsetFamily, _class_subset_sum, _subset_sum
 from .matroid import Matroid
 
 
 class EmptyMatroidError(ValueError):
     pass
-
-
-class SplitHalf(Enum):
-    """A half of the reduced coproduct, or both; the value names its subsets."""
-
-    PREC = "dependent"
-    SUCC = "independent"
-    BOTH = "proper"
 
 
 @dataclass(frozen=True)
@@ -58,31 +50,28 @@ def _require_nonempty(matroid: Matroid) -> None:
 
 def reduced_coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
     """Coproduct minus the boundary terms M (x) 1 and 1 (x) M."""
-    return _split_sum(mode, matroid, SplitHalf.BOTH)
+    _require_nonempty(matroid)
+    return _subset_sum(mode, matroid, "proper")
 
 
 def split(mode: CoproductMode, matroid: Matroid) -> SplitPair:
     """prec sums over dependent proper nonempty subsets, succ over independent."""
+    _require_nonempty(matroid)
     return SplitPair(
-        prec=_split_sum(mode, matroid, SplitHalf.PREC),
-        succ=_split_sum(mode, matroid, SplitHalf.SUCC),
+        prec=_subset_sum(mode, matroid, "dependent"),
+        succ=_subset_sum(mode, matroid, "independent"),
     )
 
 
-def _split_sum(mode: CoproductMode, matroid: Matroid, half: SplitHalf) -> TensorElement:
-    _require_nonempty(matroid)
-    return _subset_sum(mode, matroid, half.value)
-
-
 def _compose(
-    mode: CoproductMode, outer: TensorElement, leg: int, half: SplitHalf
+    mode: CoproductMode, outer: TensorElement, leg: int, which: SubsetFamily
 ) -> TensorElement:
     """Apply a split map to one leg of an arity-2 tensor, giving arity 3.
 
     The legs of a split are nonempty classes, so each goes to the kernel as
     it is.
     """
-    return outer.expand_leg(leg, lambda m: _class_subset_sum(mode, half.value, m))
+    return outer.expand_leg(leg, lambda m: _class_subset_sum(mode, which, m))
 
 
 @dataclass(frozen=True)
@@ -106,12 +95,12 @@ def check_dendriform_axioms(mode: CoproductMode, matroid: Matroid) -> Dendriform
     """
     _require_nonempty(matroid)
     halves = split(mode, matroid)
-    a1_lhs = _compose(mode, halves.prec, 0, SplitHalf.PREC)
-    a1_rhs = _compose(mode, halves.prec, 1, SplitHalf.BOTH)
-    a2_lhs = _compose(mode, halves.prec, 0, SplitHalf.SUCC)
-    a2_rhs = _compose(mode, halves.succ, 1, SplitHalf.PREC)
-    a3_lhs = _compose(mode, halves.succ, 0, SplitHalf.BOTH)
-    a3_rhs = _compose(mode, halves.succ, 1, SplitHalf.SUCC)
+    a1_lhs = _compose(mode, halves.prec, 0, "dependent")
+    a1_rhs = _compose(mode, halves.prec, 1, "proper")
+    a2_lhs = _compose(mode, halves.prec, 0, "independent")
+    a2_rhs = _compose(mode, halves.succ, 1, "dependent")
+    a3_lhs = _compose(mode, halves.succ, 0, "proper")
+    a3_rhs = _compose(mode, halves.succ, 1, "independent")
     return DendriformReport(a1_lhs == a1_rhs, a2_lhs == a2_rhs, a3_lhs == a3_rhs)
 
 
@@ -132,7 +121,7 @@ def codendriform_gap(m1: Matroid, m2: Matroid) -> TensorElement:
     mono1 = Monomial.from_matroid(m1)
     mono2 = Monomial.from_matroid(m2)
     unit = Monomial.unit()
-    lhs = _split_sum(mode, m1.direct_sum(m2), SplitHalf.SUCC)
+    lhs = _subset_sum(mode, m1.direct_sum(m2), "independent")
 
     red1 = reduced_coproduct(mode, m1)
     succ2 = split(mode, m2).succ

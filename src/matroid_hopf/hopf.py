@@ -43,9 +43,9 @@ from functools import cache, partial
 from math import comb
 from typing import Literal
 
-from .canonical import IsoKey, check_size
+from .canonical import IsoKey
 from .formal import Monomial, ModuleElement, TensorElement, module_product
-from .matroid import Matroid, elements_of
+from .matroid import Matroid, check_size, elements_of
 
 
 class CoproductMode(Enum):

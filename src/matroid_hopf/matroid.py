@@ -8,6 +8,8 @@ scale is small ground sets (n up to about 10) and all operations are exact.
 Ground sets are always 0..n-1.  Minors relabel surviving elements in
 ascending order of their original labels, which makes the restriction and
 deletion composition identities literal equalities of Matroid values.
+``Matroid.from_dict`` reads the JSON record of CLI input files and catalog
+caches alike.
 """
 
 from __future__ import annotations
@@ -33,6 +35,28 @@ class AxiomViolation(ValueError):
 
 class InvalidRank(ValueError):
     pass
+
+
+class MalformedRecord(ValueError):
+    """A matroid record is not of the shape {"n": int, "independent": [[int]]}."""
+
+
+MAX_GROUND_SET = 10
+
+
+class GroundSetTooLarge(ValueError):
+    def __init__(self, n: int):
+        super().__init__(
+            f"ground set of size {n} exceeds the canonicalization limit "
+            f"{MAX_GROUND_SET}"
+        )
+        self.n = n
+
+
+def check_size(n: int) -> None:
+    """Raise GroundSetTooLarge for a ground set above MAX_GROUND_SET."""
+    if n > MAX_GROUND_SET:
+        raise GroundSetTooLarge(n)
 
 
 class BadVertexIndex(ValueError):
@@ -159,7 +183,7 @@ class Matroid:
         Uses the lexicographically least maximal independent subset of
         ``mask``; the result does not depend on that choice.
         """
-        return self._contract_using(mask, self._greedy_basis(mask))
+        return self._minor(self.full_mask & ~mask, self._greedy_basis(mask))
 
     def _greedy_basis(self, mask: int, base: int = 0) -> int:
         """``base`` plus the lexicographically least subset of ``mask`` that
@@ -172,9 +196,6 @@ class Matroid:
             if (base | bit) in iset:
                 base |= bit
         return base
-
-    def _contract_using(self, mask: int, base: int) -> Matroid:
-        return self._minor(self.full_mask & ~mask, base)
 
     def _minor(self, mask: int, base: int) -> Matroid:
         """The minor (M/base)|mask, relabeled ascending.
@@ -313,8 +334,23 @@ class Matroid:
         }
 
     @classmethod
-    def from_dict(cls, record: dict) -> Matroid:
-        return validate(record["n"], [mask_of(s) for s in record["independent"]])
+    def from_dict(cls, record) -> Matroid:
+        """Read {"n": n, "independent": [[e, ...], ...]}, checking n against
+        the cap before any element list is read and before :func:`validate`."""
+        if not isinstance(record, dict) or "n" not in record or "independent" not in record:
+            raise MalformedRecord("expected an object with keys 'n' and 'independent'")
+        n, sets = record["n"], record["independent"]
+        # type() and not isinstance(): JSON true/false load as bool, an int subclass
+        if type(n) is not int or n < 0:
+            raise MalformedRecord(f"'n' must be a nonnegative integer, got {n!r}")
+        check_size(n)
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+            raise MalformedRecord("'independent' must be a list of element lists")
+        for s in sets:
+            for e in s:
+                if type(e) is not int or not 0 <= e < n:
+                    raise MalformedRecord(f"element {e!r} is not an integer in [0, {n})")
+        return validate(n, [mask_of(s) for s in sets])
 
     def _check_element(self, e: int) -> None:
         if not 0 <= e < self.n:

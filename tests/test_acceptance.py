@@ -44,7 +44,7 @@ from matroid_hopf import (
 )
 from matroid_hopf.canonical import all_permutation_key
 from matroid_hopf.characters import alpha, alpha_four_factor, alpha_of_monomial
-from matroid_hopf.dendriform import SplitHalf, _compose
+from matroid_hopf.dendriform import _compose
 from matroid_hopf.formal import S, X, Y
 from matroid_hopf.hopf import (
     apply_counit,
@@ -243,11 +243,11 @@ def _rd_u13_sides_ok():
     six = TensorElement.from_term((u11, u11, u11), 6)
     zero = TensorElement.zero(3)
     # axiom 2: (succ (x) Id) o prec = 6 U11^3, (Id (x) prec) o succ = 0
-    ok &= _compose(rd, halves.prec, 0, SplitHalf.SUCC) == six
-    ok &= _compose(rd, halves.succ, 1, SplitHalf.PREC) == zero
+    ok &= _compose(rd, halves.prec, 0, "independent") == six
+    ok &= _compose(rd, halves.succ, 1, "dependent") == zero
     # axiom 3: ((prec + succ) (x) Id) o succ = 0, (Id (x) succ) o succ = 6 U11^3
-    ok &= _compose(rd, halves.succ, 0, SplitHalf.BOTH) == zero
-    ok &= _compose(rd, halves.succ, 1, SplitHalf.SUCC) == six
+    ok &= _compose(rd, halves.succ, 0, "proper") == zero
+    ok &= _compose(rd, halves.succ, 1, "independent") == six
     return ok
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import matroid_hopf
 
+from matroid_hopf import matroid
 from matroid_hopf import (
     Catalog,
     CatalogTooLarge,
@@ -135,6 +136,45 @@ class TestCache:
         path.write_text("\n".join([header] + [json.dumps(record)] * 17) + "\n")
         assert load_cache(4, tmp_path) is None
         assert cached_catalog(4, tmp_path) == enumerate_matroids(4)
+
+    @pytest.mark.parametrize(
+        "n, genuine, malformed",
+        [
+            pytest.param(
+                1,
+                '{"n": 1, "independent": [[]]}',
+                '{"n": true, "independent": [[]]}',
+                id="bool-n",
+            ),
+            pytest.param(
+                2,
+                '{"n": 2, "independent": [[], [0], [1]]}',
+                '{"n": 2, "independent": [[], [0], [true]]}',
+                id="bool-element",
+            ),
+        ],
+    )
+    def test_records_are_read_as_strictly_as_input_files(
+        self, tmp_path, catalogs, n, genuine, malformed
+    ):
+        # true loads as 1, so each record names a genuine class, but the
+        # --input reader rejects it
+        path = save_cache(catalogs[n], tmp_path)
+        body = path.read_text()
+        assert genuine in body
+        path.write_text(body.replace(genuine, malformed))
+        assert load_cache(n, tmp_path) is None
+        assert cached_catalog(n, tmp_path) == catalogs[n]
+
+    def test_oversized_record_rejected_before_validating(
+        self, tmp_path, catalogs, monkeypatch
+    ):
+        path = save_cache(catalogs[1], tmp_path)
+        header = path.read_text().splitlines()[0]
+        record = json.dumps({"n": 11, "independent": [[]]})
+        path.write_text("\n".join([header, record, record]) + "\n")
+        monkeypatch.setattr(matroid, "validate", lambda *args: pytest.fail("validate was called"))
+        assert load_cache(1, tmp_path) is None
 
     def _rewrite_header(self, path, records, **fields):
         lines = path.read_text().splitlines()

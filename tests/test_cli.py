@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import matroid_hopf
-from matroid_hopf import cli
+from matroid_hopf import matroid
 from matroid_hopf.cli import COMMANDS, main, parse_expression
 from matroid_hopf import uniform, graphic
-from matroid_hopf.canonical import GroundSetTooLarge
+from matroid_hopf.matroid import GroundSetTooLarge
 from matroid_hopf.cli import InputError
 
 
@@ -19,6 +19,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv):
+    """Run ``python -m matroid_hopf.cli`` in a child with fresh memos."""
+    return subprocess.run(
+        [sys.executable, "-m", "matroid_hopf.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
+    )
 
 
 class TestExpressionParser:
@@ -195,7 +206,7 @@ class TestErrors:
         # U_{8,16}'s 39,203 sets, only to be rejected afterwards
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"n": 11, "independent": [[]]}))
-        monkeypatch.setattr(cli, "validate", lambda *args: pytest.fail("validate was called"))
+        monkeypatch.setattr(matroid, "validate", lambda *args: pytest.fail("validate was called"))
         code, out, err = run(capsys, "show", "--input", str(path))
         assert code == 2
         assert out == ""
@@ -281,9 +292,46 @@ class TestVerifyAndEnumerate:
             assert (tmp_path / f"catalog-{n}.jsonl").is_file()
             assert f"n={n}: {classes} classes" in out
 
+    def test_verify_enumerates_again_over_malformed_records(self, capsys, tmp_path):
+        # true loads as 1: these records name genuine classes, which verify
+        # once took from the cache and printed as U_{0,True}.  It runs in a
+        # child, whose empty memos cannot map U_{0,True} onto U_{0,1}.
+        cache = tmp_path / "cache"
+        run(capsys, "enumerate", "--max-n", "2", "--cache-dir", str(cache))
+        for n, genuine, malformed in [
+            (1, '{"n": 1, "independent": [[]]}', '{"n": true, "independent": [[]]}'),
+            (2, '[[], [0], [1]]', '[[], [0], [true]]'),
+        ]:
+            path = cache / f"catalog-{n}.jsonl"
+            path.write_text(path.read_text().replace(genuine, malformed))
+        child = run_module("verify", "--max-n", "2", "--cache-dir", str(cache))
+        empty = run_module("verify", "--max-n", "2", "--cache-dir", str(tmp_path / "empty"))
+        assert (child.returncode, child.stdout) == (empty.returncode, empty.stdout)
+        assert "(U_{0,1}, U_{0,1})" in child.stdout
+
     def test_verify_consumes_cache(self, capsys, tmp_path):
         run(capsys, "enumerate", "--max-n", "2", "--cache-dir", str(tmp_path))
         code, out, _ = run(
             capsys, "verify", "--max-n", "2", "--cache-dir", str(tmp_path)
         )
         assert code == 0
+
+
+class TestEntryPoint:
+    """``python -m matroid_hopf.cli`` runs ``entry()``, which exits with main's code."""
+
+    def test_success(self):
+        child = run_module("poly", "--expr", "uniform(2,4)")
+        assert (child.returncode, child.stdout) == (0, "x^4\n")
+
+    def test_verification_failure(self, tmp_path):
+        # dendriform-rd fails from n = 4 on, by design
+        child = run_module("verify", "--max-n", "4", "--cache-dir", str(tmp_path))
+        assert child.returncode == 1, child.stderr
+        assert "FAIL dendriform-rd" in child.stdout
+
+    def test_input_error(self):
+        child = run_module("poly", "--expr", "uniform(9,3)")
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
