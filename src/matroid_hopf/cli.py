@@ -49,17 +49,25 @@ _UNIFORM_RE = re.compile(r"^uniform\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
 _GRAPHIC_RE = re.compile(r"^graphic\(\s*(\d+)\s*(?:;(.*))?\)$")
 
 
+def _int(digits: str) -> int:
+    """int(digits), or an InputError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError(f"integer of {len(digits.lstrip('-'))} digits is too large") from None
+
+
 def parse_expression(text: str) -> Matroid:
     """uniform(r,n) or graphic(v; u1-w1, ...); no family beyond MAX_GROUND_SET."""
     text = text.strip()
     m = _UNIFORM_RE.match(text)
     if m:
-        n = int(m.group(2))
+        n = _int(m.group(2))
         check_size(n)
-        return uniform(int(m.group(1)), n)
+        return uniform(_int(m.group(1)), n)
     m = _GRAPHIC_RE.match(text)
     if m:
-        vertex_count = int(m.group(1))
+        vertex_count = _int(m.group(1))
         edges = []
         body = (m.group(2) or "").strip()
         if body:

@@ -128,6 +128,23 @@ class TestErrors:
         assert code == 2
         assert "uniform" in err
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "uniform(2," + "9" * 5000 + ")",
+            "uniform(" + "9" * 5000 + ",2)",
+            "graphic(" + "9" * 5000 + "; 0-1)",
+        ],
+        ids=["uniform-n", "uniform-r", "graphic-vertices"],
+    )
+    def test_huge_integer_in_expression(self, capsys, expr):
+        # int() refuses strings over 4300 digits with a ValueError
+        code, out, err = run(capsys, "show", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "5000 digits" in err
+
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "poly")
         assert code == 2

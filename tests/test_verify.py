@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from matroid_hopf import Matroid, ModuleElement, Monomial, TensorElement, uniform, verify
@@ -88,6 +90,31 @@ def _square_rank(monkeypatch):
     monkeypatch.setattr(Matroid, "is_independent", lambda self, mask: mask.bit_count() <= 1)
 
 
+def _broken_on_minors(made_by, broken):
+    # Matroid.<broken> returns U_{0,1} on every matroid that a call of
+    # Matroid.<made_by> built, and is exact elsewhere: a check first fails
+    # where it applies <broken> to a <made_by> minor, not to a representative
+    def apply(monkeypatch):
+        minors = {}  # id -> minor, each kept alive so that no id is reused
+        real_made_by = getattr(Matroid, made_by)
+
+        def make(self, mask):
+            out = real_made_by(self, mask)
+            if out is not self:
+                minors[id(out)] = out
+            return out
+
+        monkeypatch.setattr(Matroid, made_by, make)
+        real_broken = getattr(Matroid, broken)
+        monkeypatch.setattr(
+            Matroid,
+            broken,
+            lambda self, mask: U01 if id(self) in minors else real_broken(self, mask),
+        )
+
+    return apply
+
+
 def _wrong_on_products(real):
     # the product side must not be read back from the memo of the direct sum
     # side, or the check would compare a value with itself
@@ -125,6 +152,12 @@ FAILURES = [
      f"deletion mismatch on {E}"),
     ("check_minor_lemmas", "minor-lemmas", _replace(Matroid, "restrict", _reversed_restrict),
      "res-res fails on Matroid(n=3, |I|=2)"),
+    ("check_minor_lemmas", "minor-lemmas", _broken_on_minors("restrict", "delete"),
+     "res-del fails on Matroid(n=1, |I|=1)"),
+    ("check_minor_lemmas", "minor-lemmas", _broken_on_minors("delete", "restrict"),
+     "del-res fails on Matroid(n=1, |I|=1)"),
+    ("check_minor_lemmas", "minor-lemmas", _broken_on_minors("delete", "delete"),
+     "del-del fails on Matroid(n=1, |I|=1)"),
     ("check_contraction_choice", "contraction-choice",
      _replace(Matroid, "contract", _constant(U01)),
      f"choice matters on {E}, T=0"),
@@ -187,3 +220,55 @@ def test_failure_details(monkeypatch, catalog_reps, suite, row, breaker, detail)
     suite_fn = getattr(verify, suite)
     breaker(monkeypatch)
     assert suite_fn(catalog_reps) == CheckResult(row, False, detail)
+
+
+def _count_calls(monkeypatch, receivers, *names):
+    """Count the outermost calls of the ``Matroid`` methods ``names`` made on
+    one of ``receivers``, by (receiver index, method, arguments); a call
+    made inside another counted method, such as ``delete``'s restriction,
+    is not counted."""
+    calls = Counter()
+    index = {id(m): i for i, m in enumerate(receivers)}
+    depth = [0]
+    for name in names:
+        real = getattr(Matroid, name)
+
+        def counted(self, *args, real=real, name=name):
+            if not depth[0] and id(self) in index:
+                calls[index[id(self)], name, args] += 1
+            depth[0] += 1
+            try:
+                return real(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(Matroid, name, counted)
+    return calls
+
+
+def _every_mask(reps, *names):
+    return {(i, name, (a,)) for i, m in enumerate(reps) for name in names for a in range(1 << m.n)}
+
+
+def test_rank_lemmas_rank_each_subset_once(monkeypatch, catalog_reps):
+    calls = _count_calls(monkeypatch, catalog_reps, "rank")
+    assert verify.check_rank_lemmas(catalog_reps).ok
+    assert set(calls) == _every_mask(catalog_reps, "rank")
+    assert set(calls.values()) == {1}
+
+
+def test_minor_lemmas_build_each_minor_of_a_class_once(monkeypatch, catalog_reps):
+    calls = _count_calls(monkeypatch, catalog_reps, "restrict", "delete")
+    assert verify.check_minor_lemmas(catalog_reps).ok
+    assert set(calls) == _every_mask(catalog_reps, "restrict", "delete")
+    # once for the tables, and once in each nested sweep whose minor under
+    # test is the class itself: M restricted to E and M with nothing deleted
+    assert max(calls.values()) <= 3
+
+
+def test_direct_sum_compat_builds_each_minor_of_a_class_once(monkeypatch, catalog_reps):
+    # every class pairs with the empty class, so each of its minors is built
+    calls = _count_calls(monkeypatch, catalog_reps, "restrict", "delete")
+    assert verify.check_direct_sum_compat(catalog_reps).ok
+    assert set(calls) == _every_mask(catalog_reps, "restrict", "delete")
+    assert set(calls.values()) == {1}
