@@ -79,7 +79,7 @@ class IsoKey:
     def render(self) -> str:
         if self.is_uniform():
             return f"U_{{{self.rank},{self.n}}}"
-        masks = ",".join(str(s) for s in self.family)
+        masks = ",".join(map(str, self.family))
         return f"M[{self.n};{masks}]"
 
     def __str__(self) -> str:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import groupby
+from operator import itemgetter
 
 from .canonical import IsoKey, canonical_key
 from .matroid import Matroid
@@ -59,7 +60,13 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its scalar (ZERO == 0), so it hashes as one
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and (0, 0, 0) in terms:
+            return hash(terms[0, 0, 0])
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other) -> Polynomial:
         other = _promote(other)
@@ -269,17 +276,57 @@ class Monomial:
         return out
 
     def render(self) -> str:
-        parts = []
-        for key, run in groupby(self.factors):
-            k = len(list(run))
-            parts.append(key.render() if k == 1 else f"{key.render()}^{k}")
-        return ".".join(parts) or "1"
+        return _leg(self, {})[0]
 
     def __str__(self) -> str:
         return self.render()
 
 
 _UNIT = Monomial(())
+
+
+def _leg(m: Monomial, table: dict) -> tuple[str, tuple]:
+    """Text and ``sort_key()`` of a monomial, each factor read from table.
+
+    ``table`` maps id(key) to (key, text, sort_key()) for every IsoKey met
+    so far; holding the key keeps its id from being reused while the table
+    lives.  Equal factors sit side by side and are grouped by text, which
+    names a key uniquely: U_{r,n} fixes (n, r) and M[n;...] the family.
+    """
+    names = []
+    keys = []
+    degree = 0
+    for key in m.factors:
+        entry = table.get(id(key))
+        if entry is None:
+            entry = table[id(key)] = (key, key.render(), key.sort_key())
+        names.append(entry[1])
+        keys.append(entry[2])
+        degree += key.n
+    parts = []
+    for name, run in groupby(names):
+        k = len(list(run))
+        parts.append(name if k == 1 else f"{name}^{k}")
+    return ".".join(parts) or "1", (degree, tuple(keys))
+
+
+def _render_terms(terms, reverse: bool, unit_coeff: bool) -> str:
+    """Signed sum of (legs, c) terms, legs joined by ⊗, ordered by sort keys.
+
+    One key table serves the whole call, so each distinct key is rendered
+    and its sort tuple built once however many factors refer to it.
+    ``unit_coeff`` writes a coefficient of 1 as "1*".
+    """
+    table: dict = {}
+    rows = []
+    for legs, c in terms:
+        texts, order = zip(*[_leg(m, table) for m in legs])
+        rows.append((order, "⊗".join(texts), c))
+    rows.sort(key=itemgetter(0), reverse=reverse)
+    return _signed_sum(
+        (c < 0, f"{abs(c)}*{body}" if unit_coeff or abs(c) != 1 else body)
+        for _, body, c in rows
+    )
 
 
 class ModuleElement:
@@ -338,12 +385,9 @@ class ModuleElement:
             return self.__rmul__(other)
         return module_product(self, other)
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
-
     def render(self) -> str:
-        return _signed_sum(
-            (c < 0, f"{abs(c)}*{m.render()}") for m, c in self.sorted_terms()
+        return _render_terms(
+            (((m,), c) for m, c in self.terms.items()), reverse=True, unit_coeff=True
         )
 
     def __str__(self) -> str:
@@ -452,19 +496,8 @@ class TensorElement:
                 out[new] = out.get(new, 0) + c * c2
         return TensorElement(3, out)
 
-    def sorted_terms(self) -> list[tuple[tuple[Monomial, ...], int]]:
-        return sorted(
-            self.terms.items(), key=lambda t: tuple(m.sort_key() for m in t[0])
-        )
-
     def render(self) -> str:
-        parts = []
-        for legs, c in self.sorted_terms():
-            body = "⊗".join(m.render() for m in legs)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            parts.append((c < 0, body))
-        return _signed_sum(parts)
+        return _render_terms(self.terms.items(), reverse=False, unit_coeff=False)
 
     def __str__(self) -> str:
         return self.render()

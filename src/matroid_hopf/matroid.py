@@ -223,13 +223,14 @@ class Matroid:
         )
 
     def direct_sum(self, other: Matroid) -> Matroid:
-        """Disjoint union, with ``other`` relabeled to n..n+m-1."""
-        fam = sorted(
-            a | (b << self.n)
-            for a in self.independents
-            for b in other.independents
-        )
-        return Matroid(self.n + other.n, tuple(fam))
+        """Disjoint union, with ``other`` relabeled to n..n+m-1.
+
+        Each mask is (b << n) + a with a < 2**n, so with ``other``'s sets in
+        the outer loop the masks come out strictly ascending, unsorted.
+        """
+        n = self.n
+        fam = [a | b << n for b in other.independents for a in self.independents]
+        return Matroid(n + other.n, tuple(fam))
 
     def dual(self) -> Matroid:
         """Matroid whose bases are the complements of this one's bases."""

@@ -5,13 +5,14 @@ encoded as bitsets over the power set, orbits are taken over all
 permutations directly (a family that every relabeling fixes is its own
 orbit), the least relabeled family walks all n! relabelings by one
 transposition each (Heap's algorithm), minors relabel element by element, components come from a scan for
-every circuit, the antipode is a sum over ordered set partitions, and
-coproduct legs are keyed by the orbit codes of their components.
+every circuit, the antipode is a sum over ordered set partitions,
+coproduct legs are keyed by the orbit codes of their components, and
+sums render term by term with equal factors grouped by key equality.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 from math import comb
 
 
@@ -315,3 +316,37 @@ def antipode_rd_terms(masks, n):
             codes[fam] = orbit_code(fam, n)
         out[codes[fam]] = out.get(codes[fam], 0) + (-1) ** len(blocks)
     return {code: c for code, c in out.items() if c}
+
+
+def render_monomial(m):
+    """A monomial's text: runs of equal keys (by ``==``) as key^k, joined by "."."""
+    parts = []
+    for key, run in groupby(m.factors):
+        k = len(list(run))
+        parts.append(key.render() if k == 1 else f"{key.render()}^{k}")
+    return ".".join(parts) or "1"
+
+
+def render_sum(x):
+    """A ModuleElement's or TensorElement's text, rendering every leg anew.
+
+    Module terms run by descending ``sort_key`` and always carry "c*";
+    tensor terms run by ascending tuple of leg sort keys, with legs joined
+    by "⊗" and "c*" only when |c| != 1.
+    """
+    if hasattr(x, "arity"):
+        rows = sorted(x.terms.items(), key=lambda t: tuple(m.sort_key() for m in t[0]))
+        bodies = [
+            (c, "⊗".join(render_monomial(m) for m in legs)) for legs, c in rows
+        ]
+        bodies = [(c, body if abs(c) == 1 else f"{abs(c)}*{body}") for c, body in bodies]
+    else:
+        rows = sorted(x.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
+        bodies = [(c, f"{abs(c)}*{render_monomial(m)}") for m, c in rows]
+    text = ""
+    for c, body in bodies:
+        if text:
+            text += (" - " if c < 0 else " + ") + body
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"

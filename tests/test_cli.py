@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,65 @@ class TestCommands:
         _, first, _ = run(capsys, "coproduct", "--expr", "uniform(2,4)")
         _, second, _ = run(capsys, "coproduct", "--expr", "uniform(2,4)")
         assert first == second
+
+
+_K5_EDGES = ", ".join(f"{u}-{w}" for u in range(5) for w in range(u + 1, 5))
+GOLDEN_INPUTS = {
+    "U38": "uniform(3,8)",
+    "K5": f"graphic(5; {_K5_EDGES})",
+    "multi": "graphic(4; 0-1,0-1,0-1,1-2,2-3,3-0,0-0,2-2)",
+}
+
+# SHA-256 of the whole stdout of each command, text and --json: any change
+# to a rendered term, its order or a JSON field changes the digest.
+GOLDEN_DIGESTS = [
+    ("U38", "show", "650726925539c125f377631e1e4f42e071c12d1c6dcf9bd39081ce9755bb31f5"),
+    ("U38", "show --json", "bfa6a7eea04e2d6fd651414081ff3de675c9ccce1f12137c0bc08b1ad739d093"),
+    ("U38", "coproduct --mode rc", "c3b2ea4ef41b92c8b8b7d00e9226a4d48efd6dea759ac27e1885869a29dd6603"),
+    ("U38", "coproduct --mode rc --json", "b060109f0952a5583c293b7d0196d764bfea78c1bb1075d6b234edd8a32c9677"),
+    ("U38", "coproduct --mode rd", "68f8148b9a4118059806ff9f89147b3eb3ca8f68a5d4415813551203327b0998"),
+    ("U38", "coproduct --mode rd --json", "b269d57101777aeb0e3667141841d322e40a208273d6d385ac72a1cb86f94aa9"),
+    ("U38", "split --mode rc", "c797146bf37dd3edcd92a080b090473b4d1c3cf958276e4d21f34f504b7170ca"),
+    ("U38", "split --mode rc --json", "bc5bf220dc2ec9d6c1ea22652dc38a3c09260927e4cbb0d6a72a56a58773461a"),
+    ("U38", "split --mode rd", "7e58114953a1a3feca8c6f15c79a479c27c5182ee9847dcd695369affe173f9b"),
+    ("U38", "split --mode rd --json", "6b9959902740f30d58b281c0c5a3e95360bf5af72fd515d8573d981ee4f010cd"),
+    ("U38", "antipode", "af69f59592d022efdf35c696131d0dd7b03e62ef85b8bc00d83c9ed78ce718a7"),
+    ("U38", "antipode --json", "4cde7e654b208aa0747e2939aecf36dac1729a96c33748568a2aaf6e93c45d81"),
+    ("K5", "show", "bd30930f51c136bf454f9884f0ad79cd4a47fb8cc76dcdf3f26b4a793f828a6e"),
+    ("K5", "show --json", "a8c7179cff5febae8082738f70d2f0f1bca4da95a41934b675cbbec8080cc036"),
+    ("K5", "coproduct --mode rc", "d059e638131dcf06d10e2bed8122a6c641c275218a07e382bab2bea11687ee6b"),
+    ("K5", "coproduct --mode rc --json", "00fcdbd2d3b5d8115c530d5b3611c5655bbf816a2ab4ed92610ad9f5a0619c50"),
+    ("K5", "coproduct --mode rd", "8e93e2511ee221c6e2154bfbc5374a3aa51bedf62a936905b0af22d73efcd33a"),
+    ("K5", "coproduct --mode rd --json", "929c1e2613a0219f3803605bb828a37027f0e74f66316829aafcc20b052023df"),
+    ("K5", "split --mode rc", "48b4561d325468c2c1f809ea586ca872b0b1839c710e697b043631f8770d3fce"),
+    ("K5", "split --mode rc --json", "b28a97b3781ce346422dc341d08cf83c12434efe9778b769e6d0576473c537c2"),
+    ("K5", "split --mode rd", "55d00651d20fc894176979e400b430d789b21f1cb22a15107b3c0325a7803cc4"),
+    ("K5", "split --mode rd --json", "022f3b0ae91cd1bfc87e08b27c5e5ab70e8b6d028e676df7c8f4df92f447fcf7"),
+    ("K5", "antipode", "f1b450255950890a02f301448e4ce2f050cc24ec3742369ad38de20d32f262c1"),
+    ("K5", "antipode --json", "8bae094a956152499efac9a9a041c312d93c218022151756ab897e77c67ece1d"),
+    ("multi", "show", "5c1d0c60b42db2801bd716a8611867c177d288bb4d515ff4c9ef660c271bfb41"),
+    ("multi", "show --json", "dd8297dc612da93f144726a684f89e953c33f12820d2e0e089b7d664c49416a3"),
+    ("multi", "coproduct --mode rc", "c084502ed61ed37924635137efdd1e7802576d4246434ee19b6ef9e4f3424185"),
+    ("multi", "coproduct --mode rc --json", "f2b0af280ec2cadafdae77d410118eff8cb8cb8580842c02c3c47122e47d435f"),
+    ("multi", "coproduct --mode rd", "ca613fd49b5edef69f075768fbe85c0ef6c22755fac0c6747c3a52c98c181641"),
+    ("multi", "coproduct --mode rd --json", "f81e42b7dce3a3a5855a290317758fd43829081c259018b1ee450a8fcb2e561a"),
+    ("multi", "split --mode rc", "56a5077d398d081da78d3a040ada35d69d9cbca1874e3bcdb9a78fb8bb2e15da"),
+    ("multi", "split --mode rc --json", "27d6f717a9a228361dfeacb3326804ffdd8be24afd2b94fae441cccdb82fcd89"),
+    ("multi", "split --mode rd", "795e275f1d1e285a9bcc47e5f1b11067bfae55ddd87ac2c65eacceab4db1b30a"),
+    ("multi", "split --mode rd --json", "b201ae418f58e025318f81a7d9ff078d5b933ce2ada17bee1c6c868a91d8526f"),
+    ("multi", "antipode", "734f77af846af81b999f8d81a563c84f2810381ca0f98e88124b7577aeb1ff8a"),
+    ("multi", "antipode --json", "e11b6010ffcbe2e0ecba9b5b9fb66170cfb1e8990d3c4ebc130672bfa0e014e1"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "name, argv, digest", GOLDEN_DIGESTS, ids=[f"{n} {a}" for n, a, _ in GOLDEN_DIGESTS]
+    )
+    def test_stdout_digest(self, capsys, name, argv, digest):
+        code, out, _ = run(capsys, *argv.split(), "--expr", GOLDEN_INPUTS[name])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestErrors:

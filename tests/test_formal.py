@@ -130,6 +130,26 @@ class TestCoefficientTypes:
         assert ints.render() == fracs.render() == "3*x^2 - y + 1"
         assert ints == 3 * X**2 - Y + Fraction(1)
 
+    @pytest.mark.parametrize(
+        "poly, scalar",
+        [
+            (ONE, 1),
+            (Polynomial.constant(-3), -3),
+            (Polynomial.constant(Fraction(1, 2)), Fraction(1, 2)),
+            (X / 2 * 4 - 2 * X + 5, 5),
+        ],
+    )
+    def test_constant_hashes_as_its_scalar(self, poly, scalar):
+        assert poly == scalar and hash(poly) == hash(scalar)
+        assert {scalar: "a"}.get(poly) == "a"
+        assert {poly: "a"}.get(scalar) == "a"
+
+    def test_zero_hashes_as_zero(self):
+        for zero in (ZERO, X - X, Polynomial({(0, 0, 0): 0})):
+            assert zero == 0 and hash(zero) == hash(0) == hash(Fraction(0))
+            assert {0: "a"}.get(zero) == "a"
+        assert {ZERO, 0, Fraction(0)} == {0}
+
     def test_coefficient_and_integrality_probe(self):
         assert X.coefficient((1, 0, 0)) == 1
         assert X.coefficient((0, 1, 0)) == 0

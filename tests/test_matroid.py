@@ -228,6 +228,13 @@ class TestDirectSumAndDual:
         assert m.direct_sum(empty_matroid()) == m
         assert len(uniform(1, 2).direct_sum(uniform(1, 3)).independents) == 12
 
+    def test_direct_sum_family_is_the_sorted_product(self, catalog_reps):
+        for m1, m2 in product(catalog_reps, repeat=2):
+            fam = m1.direct_sum(m2).independents
+            want = sorted(a | (b << m1.n) for a in m1.independents for b in m2.independents)
+            assert list(fam) == want
+            assert all(x < y for x, y in zip(fam, fam[1:]))
+
     def test_direct_sum_compatibility(self, catalog_reps):
         small = [m for m in catalog_reps if m.n <= 2]
         for m1 in small:
