@@ -15,9 +15,10 @@ caches alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 
 class AxiomViolation(ValueError):
@@ -132,11 +133,16 @@ class Matroid:
 
     def is_loop(self, e: int) -> bool:
         self._check_element(e)
-        return (1 << e) not in self._iset
+        return bool(self.loops() >> e & 1)
 
     def loops(self) -> int:
-        """Bitmask of loops (elements whose singleton is dependent)."""
-        return mask_of(e for e in range(self.n) if (1 << e) not in self._iset)
+        """Bitmask of loops: the elements in no independent set.
+
+        By downward closure an element lies in some independent set iff its
+        singleton is independent, so these are the elements whose singleton
+        is dependent.  Reading the union needs no oracle set.
+        """
+        return self.full_mask & ~reduce(or_, self.independents, 0)
 
     def coloops(self) -> int:
         """Bitmask of coloops (elements lying in every basis)."""
@@ -149,8 +155,8 @@ class Matroid:
         """(c, l): elements of ``mask`` with independent / dependent singleton."""
         if mask is None:
             mask = self.full_mask
-        c = sum(1 for e in elements_of(mask) if (1 << e) in self._iset)
-        return c, mask.bit_count() - c
+        l = (mask & self.loops()).bit_count()
+        return mask.bit_count() - l, l
 
     def restrict(self, mask: int) -> Matroid:
         """Restriction to ``mask``, relabeled ascending to 0..|mask|-1.

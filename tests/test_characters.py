@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -38,6 +39,13 @@ def mono(*matroids):
 
 
 COLOOP_LOOP = mono(uniform(1, 1), uniform(0, 1))
+
+EXTREMES = [
+    pytest.param(uniform(0, 10), id="U0,10"),
+    pytest.param(uniform(10, 10), id="U10,10"),
+    pytest.param(uniform(0, 5).direct_sum(uniform(5, 5)), id="U0,5+U5,5"),
+    pytest.param(uniform(2, 4).direct_sum(uniform(0, 3)), id="U2,4+U0,3"),
+]
 
 
 class TestConvolve:
@@ -205,25 +213,31 @@ class TestPolyP:
                 assert poly_P(m1.direct_sum(m2)) == poly_P(m1) * poly_P(m2)
 
     def test_matches_subset_sum_oracle(self, oracle_cases):
+        # oracle_cases holds every catalog class
         for m in oracle_cases:
             want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
             got = poly_P(m).terms
             assert got == want
             assert all(type(c) is int for c in got.values())
 
-    @pytest.mark.parametrize(
-        "m",
-        [
-            pytest.param(uniform(0, 10), id="U0,10"),
-            pytest.param(uniform(10, 10), id="U10,10"),
-            pytest.param(uniform(0, 5).direct_sum(uniform(5, 5)), id="U0,5+U5,5"),
-            pytest.param(uniform(2, 4).direct_sum(uniform(0, 3)), id="U2,4+U0,3"),
-        ],
-    )
+    def test_matches_oracle_on_every_pair_of_classes(self, catalog_reps):
+        # the direct sums of all 528 unordered pairs, up to 8 elements
+        for m1, m2 in combinations_with_replacement(catalog_reps, 2):
+            m = m1.direct_sum(m2)
+            want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
+            assert poly_P(m).terms == want
+
+    @pytest.mark.parametrize("m", EXTREMES)
     def test_matches_oracle_at_the_extremes(self, m):
         # the largest binomial coefficients and the most sign changes
         want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
         assert poly_P(m).terms == want
+
+    def test_counts_every_subset_once(self, oracle_cases):
+        # x-1 = y-1 = 1 at (2, 2), so each subset A adds 1
+        extremes = [p.values[0] for p in EXTREMES]
+        for m in oracle_cases + extremes:
+            assert poly_P(m).eval(x=2, y=2) == 2**m.n
 
 
 class TestConvolutionIdentity:

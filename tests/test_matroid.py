@@ -301,6 +301,18 @@ class TestElementCounts:
         with pytest.raises(BadElement):
             uniform(1, 2).is_loop(5)
 
+    def test_loops_match_singleton_definition(self, oracle_cases):
+        # oracle_cases holds every catalog class; a loop is an element whose
+        # singleton is not independent
+        for m in oracle_cases:
+            fam = set(m.independents)
+            singleton_loops = [e for e in range(m.n) if 1 << e not in fam]
+            assert m.loops() == mask_of(singleton_loops)
+            assert [e for e in range(m.n) if m.is_loop(e)] == singleton_loops
+            for a in range(1 << m.n):
+                l = sum(1 for e in singleton_loops if a >> e & 1)
+                assert m.element_counts(a) == (a.bit_count() - l, l)
+
 
 class TestComponents:
     def test_connected_cases(self):
