@@ -3,8 +3,9 @@
 Every matroid is determined by its set of bases, all of one cardinality, so
 the enumeration walks nonempty families of equal-size subsets, keeps those
 satisfying the basis exchange axiom, takes downward closures, and
-deduplicates by canonical key.  Results can be cached on disk in the same
-JSON record format the CLI consumes.
+deduplicates by canonical key.  ``save_cache`` writes a catalog into a
+given directory in the JSON record format that ``--input`` reads, and
+``cached_catalog`` reads it back only when handed that directory.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ MAX_CATALOG_N = 4
 # (OEIS A055545, A058673); a cache header must agree with its row.
 KNOWN_COUNTS = {0: (1, 1), 1: (2, 2), 2: (4, 5), 3: (8, 16), 4: (17, 68)}
 CACHE_VERSION = 1
-CACHE_ENV_VAR = "MATROID_HOPF_CACHE_DIR"
 
 
 class CatalogTooLarge(ValueError):
@@ -87,19 +87,11 @@ def _basis_exchange(bases: list[int]) -> bool:
     return True
 
 
-def default_cache_dir() -> Path:
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "matroid-hopf"
+def cache_path(n: int, cache_dir: Path) -> Path:
+    return cache_dir / f"catalog-{n}.jsonl"
 
 
-def cache_path(n: int, cache_dir: Path | None = None) -> Path:
-    base = cache_dir if cache_dir is not None else default_cache_dir()
-    return base / f"catalog-{n}.jsonl"
-
-
-def save_cache(catalog: Catalog, cache_dir: Path | None = None) -> Path:
+def save_cache(catalog: Catalog, cache_dir: Path) -> Path:
     """Write newline-delimited matroid records under a version-stamped header."""
     path = cache_path(catalog.n, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -124,7 +116,7 @@ def save_cache(catalog: Catalog, cache_dir: Path | None = None) -> Path:
     return path
 
 
-def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
+def load_cache(n: int, cache_dir: Path) -> Catalog | None:
     """Read a cached catalog; None when missing, stale, unreadable, when its
     header is not a JSON object or its counts differ from ``KNOWN_COUNTS``,
     when a record fails ``Matroid.from_dict``, the reader of ``--input``,
@@ -154,8 +146,7 @@ def load_cache(n: int, cache_dir: Path | None = None) -> Catalog | None:
 
 
 def cached_catalog(n: int, cache_dir: Path | None = None) -> Catalog:
-    """Load from cache when present, otherwise enumerate in memory."""
-    hit = load_cache(n, cache_dir)
-    if hit is not None:
-        return hit
-    return enumerate_matroids(n)
+    """Load from the cache in ``cache_dir`` when given and usable, otherwise
+    enumerate in memory."""
+    hit = load_cache(n, cache_dir) if cache_dir is not None else None
+    return hit if hit is not None else enumerate_matroids(n)

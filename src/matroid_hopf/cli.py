@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: show, coproduct, antipode, split, poly, alpha, verify,
-enumerate.  Matroids come from --input (JSON file with keys "n" and
-"independent") or --expr ("uniform(r,n)" or "graphic(v; u-w, ...)").
-Output is deterministic; --json mirrors each text line as one JSON object.
+Subcommands: show, coproduct, antipode, split, poly, alpha, verify.
+Matroids come from --input (JSON file with keys "n" and "independent") or
+--expr ("uniform(r,n)" or "graphic(v; u-w, ...)").  verify enumerates the
+catalogs afresh on every run and reads no file.  Output is deterministic;
+--json mirrors each text line as one JSON object.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
@@ -16,13 +17,7 @@ import sys
 from pathlib import Path
 
 from .canonical import canonical_key
-from .catalog import (
-    CatalogTooLarge,
-    MAX_CATALOG_N,
-    default_cache_dir,
-    enumerate_matroids,
-    save_cache,
-)
+from .catalog import CatalogTooLarge, MAX_CATALOG_N
 from .characters import alpha, poly_P
 from .dendriform import EmptyMatroidError, split
 from .formal import Monomial
@@ -179,11 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=["rc", "rd"], default="rd")
     verify = sub.add_parser("verify", help="run every identity suite")
     verify.add_argument("--all", action="store_true", help="run all suites (default)")
-    catalog = sub.add_parser("enumerate", help="write catalog cache files")
-    for p in (verify, catalog):
-        p.add_argument("--max-n", type=_nonnegative_int, default=MAX_CATALOG_N)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--cache-dir", default=None)
+    verify.add_argument("--max-n", type=_nonnegative_int, default=MAX_CATALOG_N)
+    verify.add_argument("--json", action="store_true")
     return parser
 
 
@@ -215,8 +207,6 @@ def _dispatch(args) -> int:
         else:
             print(text)
 
-    if args.command in ("verify", "enumerate") and args.max_n > MAX_CATALOG_N:
-        raise CatalogTooLarge(args.max_n)
     if args.command in COMMANDS:
         _, takes_mode, lines = COMMANDS[args.command]
         m = _matroid_from_args(args)
@@ -224,37 +214,20 @@ def _dispatch(args) -> int:
         for fields, text in lines(m, mode):
             emit({"mode": args.mode, **fields} if mode else fields, text)
         return 0
-    if args.command == "verify":
-        cache_dir = Path(args.cache_dir) if args.cache_dir else None
-        results = run_all(max_n=args.max_n, cache_dir=cache_dir)
-        width = max(len(r.name) for r in results)
-        for r in results:
-            status = "ok" if r.ok else "FAIL"
-            emit(
-                {"check": r.name, "ok": r.ok, "detail": r.detail},
-                f"{status:4} {r.name:<{width}}  {r.detail}",
-            )
-        passed = sum(r.ok for r in results)
-        summary = f"{passed}/{len(results)} suites passed"
-        emit({"summary": summary, "ok": passed == len(results)}, summary)
-        return 0 if passed == len(results) else 1
-    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    for n in range(args.max_n + 1):
-        catalog = enumerate_matroids(n)
-        try:
-            path = save_cache(catalog, cache_dir)
-        except OSError as err:
-            raise InputError(f"cannot write the catalog cache to {cache_dir}: {err}")
+    if args.max_n > MAX_CATALOG_N:
+        raise CatalogTooLarge(args.max_n)
+    results = run_all(max_n=args.max_n)
+    width = max(len(r.name) for r in results)
+    for r in results:
+        status = "ok" if r.ok else "FAIL"
         emit(
-            {
-                "n": n,
-                "classes": len(catalog),
-                "labeled": catalog.labeled_count,
-                "path": str(path),
-            },
-            f"n={n}: {len(catalog)} classes ({catalog.labeled_count} labeled) -> {path}",
+            {"check": r.name, "ok": r.ok, "detail": r.detail},
+            f"{status:4} {r.name:<{width}}  {r.detail}",
         )
-    return 0
+    passed = sum(r.ok for r in results)
+    summary = f"{passed}/{len(results)} suites passed"
+    emit({"summary": summary, "ok": passed == len(results)}, summary)
+    return 0 if passed == len(results) else 1
 
 
 def entry() -> None:

@@ -489,6 +489,8 @@ class TensorElement:
         """Apply f, monomial to arity-2 tensor, to leg 0 or 1; arity 2 to 3."""
         if self.arity != 2:
             raise ArityMismatch("expand_leg is only defined for arity-2 tensors")
+        if leg not in (0, 1):
+            raise ValueError(f"leg must be 0 or 1, got {leg!r}")
         out: dict[tuple[Monomial, ...], int] = {}
         for legs, c in self.terms.items():
             for pair, c2 in f(legs[leg]).terms.items():

@@ -186,6 +186,8 @@ def apply_counit(t: TensorElement, leg: int) -> ModuleElement:
     other leg: (counit (x) Id) for leg 0, (Id (x) counit) for leg 1."""
     if t.arity != 2:
         raise ValueError("expected an arity-2 tensor")
+    if leg not in (0, 1):
+        raise ValueError(f"leg must be 0 or 1, got {leg!r}")
     out: dict[Monomial, int] = {}
     for legs, c in t.terms.items():
         if legs[leg].is_unit:
@@ -228,6 +230,8 @@ def antipode_element(e: ModuleElement) -> ModuleElement:
 
 def convolve_antipode_identity(matroid: Matroid, antipode_side: Literal["left", "right"]) -> ModuleElement:
     """Multiply after (S (x) Id) or (Id (x) S) applied to the RD coproduct."""
+    if antipode_side not in ("left", "right"):
+        raise ValueError(f"antipode_side must be 'left' or 'right', got {antipode_side!r}")
     out = ModuleElement.zero()
     for (a, b), c in coproduct(CoproductMode.RD, matroid).terms.items():
         if antipode_side == "left":

@@ -22,14 +22,8 @@ from matroid_hopf import (
     uniform,
     validate,
 )
-from matroid_hopf.cli import main
-from matroid_hopf.catalog import (
-    CACHE_ENV_VAR,
-    KNOWN_COUNTS,
-    MAX_CATALOG_N,
-    cache_path,
-    default_cache_dir,
-)
+from matroid_hopf.catalog import KNOWN_COUNTS, MAX_CATALOG_N, cache_path
+from matroid_hopf.verify import run_all
 
 from oracles import unpruned_counts
 
@@ -120,6 +114,15 @@ class TestCache:
 
     def test_cached_catalog_falls_back_to_enumeration(self, tmp_path, catalogs):
         assert cached_catalog(3, tmp_path) == catalogs[3]
+
+    def test_no_directory_enumerates_without_reading(self, monkeypatch, catalogs):
+        def read(*args, **kwargs):
+            pytest.fail("read a file")
+
+        monkeypatch.setattr(matroid_hopf.catalog, "load_cache", read)
+        monkeypatch.setattr(Path, "is_file", read)
+        monkeypatch.setattr(Path, "read_text", read)
+        assert cached_catalog(3) == catalogs[3]
 
     @pytest.mark.parametrize(
         "record",
@@ -223,9 +226,7 @@ class TestCache:
         assert load_cache(4, tmp_path) == catalogs[4]
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_unreadable_cache_is_enumerated_again(
-        self, tmp_path, monkeypatch, capsys, catalogs
-    ):
+    def test_unreadable_cache_is_enumerated_again(self, tmp_path, monkeypatch, catalogs):
         for n in range(3):
             save_cache(catalogs[n], tmp_path)
         read_text = Path.read_text
@@ -239,10 +240,6 @@ class TestCache:
         assert load_cache(2, tmp_path) is None
         assert cached_catalog(2, tmp_path) == catalogs[2]
         # verify enumerates the catalogs again instead of ending in a traceback
-        assert main(["verify", "--max-n", "2", "--cache-dir", str(tmp_path)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "23/23 suites passed"
-
-    def test_env_var_overrides_default_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "elsewhere"))
-        assert default_cache_dir() == tmp_path / "elsewhere"
+        rows = run_all(max_n=2, cache_dir=tmp_path)
+        assert rows == run_all(max_n=2)
+        assert all(row.ok for row in rows)

@@ -11,7 +11,7 @@ import pytest
 import matroid_hopf
 from matroid_hopf import matroid
 from matroid_hopf.cli import COMMANDS, main, parse_expression
-from matroid_hopf import uniform, graphic
+from matroid_hopf import enumerate_matroids, graphic, save_cache, uniform
 from matroid_hopf.matroid import GroundSetTooLarge
 from matroid_hopf.cli import InputError
 
@@ -22,15 +22,35 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_module(*argv):
-    """Run ``python -m matroid_hopf.cli`` in a child with fresh memos."""
+def _child(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "matroid_hopf.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
     )
+
+
+def run_module(*argv):
+    """Run ``python -m matroid_hopf.cli`` in a child with fresh memos."""
+    return _child("-m", "matroid_hopf.cli", *argv)
+
+
+def run_library_verify(max_n, cache_dir=None):
+    """Print ``run_all(max_n, cache_dir)`` one row a line, in a child with fresh memos."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from pathlib import Path
+        from matroid_hopf.verify import run_all
+
+        cache_dir = Path(sys.argv[2]) if sys.argv[2] else None
+        for row in run_all(max_n=int(sys.argv[1]), cache_dir=cache_dir):
+            print(row)
+        """
+    )
+    return _child("-c", script, str(max_n), str(cache_dir or ""))
 
 
 class TestExpressionParser:
@@ -300,98 +320,74 @@ class TestErrors:
         assert "30" in err
 
     @pytest.mark.parametrize(
-        "command, max_n, reason",
+        "max_n, reason",
         [
-            pytest.param("verify", "-1", "--max-n", id="verify"),
-            pytest.param("enumerate", "-1", "--max-n", id="enumerate"),
-            pytest.param("verify", "5", "size 4, got 5", id="verify-5"),
-            pytest.param("enumerate", "5", "size 4, got 5", id="enumerate-5"),
+            pytest.param("-1", "--max-n", id="verify"),
+            pytest.param("5", "size 4, got 5", id="verify-5"),
         ],
     )
-    def test_negative_max_n(self, capsys, tmp_path, monkeypatch, command, max_n, reason):
-        # rejected before any enumeration or cache write
+    def test_negative_max_n(self, capsys, monkeypatch, max_n, reason):
+        # rejected before any enumeration
         def enumerated(*args):
-            pytest.fail(f"{command} --max-n {max_n} enumerated a catalog")
+            pytest.fail(f"verify --max-n {max_n} enumerated a catalog")
 
-        monkeypatch.setattr("matroid_hopf.cli.enumerate_matroids", enumerated)
         monkeypatch.setattr("matroid_hopf.verify.cached_catalog", enumerated)
-        code, out, err = run(
-            capsys, command, "--max-n", max_n, "--cache-dir", str(tmp_path)
-        )
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
         assert code == 2
         assert out == ""
         assert reason in err
         assert sum("error:" in line for line in err.splitlines()) == 1
-        assert not list(tmp_path.iterdir())
-
-    def test_unusable_cache_dir(self, capsys, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        code, out, err = run(
-            capsys, "enumerate", "--max-n", "1", "--cache-dir", str(blocker)
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(blocker) in err
 
 
 class TestVerifyAndEnumerate:
-    def test_verify_small_is_clean(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "verify", "--max-n", "2", "--cache-dir", str(tmp_path))
+    def test_verify_small_is_clean(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", "2")
         lines = out.splitlines()
         assert lines[-1].endswith("suites passed")
         # at n <= 2 the restriction-deletion dendriform defect is not visible
         assert code == 0
         assert all(line.startswith("ok") for line in lines[:-1])
 
-    def test_verify_without_nonempty_classes_passes(self, capsys, tmp_path):
+    def test_verify_without_nonempty_classes_passes(self, capsys):
         # only the empty class: every suite passes, the witness suite with
         # no pair tried
-        assert main(["verify", "--max-n", "0", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["verify", "--max-n", "0"]) == 0
         out = capsys.readouterr().out
         assert "ok   codendriform-gap      no pair of nonempty classes tried" in out
 
-    def test_verify_json(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "verify", "--json", "--max-n", "1", "--cache-dir", str(tmp_path)
-        )
+    def test_verify_json(self, capsys):
+        code, out, _ = run(capsys, "verify", "--json", "--max-n", "1")
         records = [json.loads(line) for line in out.splitlines()]
         assert all(r["command"] == "verify" for r in records)
         assert "summary" in records[-1]
 
-    def test_enumerate_writes_cache(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "enumerate", "--max-n", "3", "--cache-dir", str(tmp_path)
+    def test_verify_reads_no_cache(self, capsys, tmp_path, monkeypatch):
+        # the same code and rows with every cache read failing the test and
+        # an empty home directory, which stays empty
+        expected = run(capsys, "verify", "--max-n", "2")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setattr(
+            "matroid_hopf.catalog.load_cache", lambda *args: pytest.fail("read a cache")
         )
-        assert code == 0
-        for n, classes in enumerate([1, 2, 4, 8]):
-            assert (tmp_path / f"catalog-{n}.jsonl").is_file()
-            assert f"n={n}: {classes} classes" in out
+        assert run(capsys, "verify", "--max-n", "2") == expected
+        assert not list(tmp_path.iterdir())
 
-    def test_verify_enumerates_again_over_malformed_records(self, capsys, tmp_path):
+    def test_verify_enumerates_again_over_malformed_records(self, tmp_path):
         # true loads as 1: these records name genuine classes, which verify
         # once took from the cache and printed as U_{0,True}.  It runs in a
         # child, whose empty memos cannot map U_{0,True} onto U_{0,1}.
-        cache = tmp_path / "cache"
-        run(capsys, "enumerate", "--max-n", "2", "--cache-dir", str(cache))
+        for n in range(3):
+            save_cache(enumerate_matroids(n), tmp_path)
         for n, genuine, malformed in [
             (1, '{"n": 1, "independent": [[]]}', '{"n": true, "independent": [[]]}'),
             (2, '[[], [0], [1]]', '[[], [0], [true]]'),
         ]:
-            path = cache / f"catalog-{n}.jsonl"
+            path = tmp_path / f"catalog-{n}.jsonl"
             path.write_text(path.read_text().replace(genuine, malformed))
-        child = run_module("verify", "--max-n", "2", "--cache-dir", str(cache))
-        empty = run_module("verify", "--max-n", "2", "--cache-dir", str(tmp_path / "empty"))
-        assert (child.returncode, child.stdout) == (empty.returncode, empty.stdout)
+        child = run_library_verify(2, tmp_path)
+        fresh = run_library_verify(2)
+        assert (child.returncode, child.stdout) == (fresh.returncode, fresh.stdout)
         assert "(U_{0,1}, U_{0,1})" in child.stdout
-
-    def test_verify_consumes_cache(self, capsys, tmp_path):
-        run(capsys, "enumerate", "--max-n", "2", "--cache-dir", str(tmp_path))
-        code, out, _ = run(
-            capsys, "verify", "--max-n", "2", "--cache-dir", str(tmp_path)
-        )
-        assert code == 0
 
 
 class TestEntryPoint:
@@ -401,9 +397,9 @@ class TestEntryPoint:
         child = run_module("poly", "--expr", "uniform(2,4)")
         assert (child.returncode, child.stdout) == (0, "x^4\n")
 
-    def test_verification_failure(self, tmp_path):
+    def test_verification_failure(self):
         # dendriform-rd fails from n = 4 on, by design
-        child = run_module("verify", "--max-n", "4", "--cache-dir", str(tmp_path))
+        child = run_module("verify", "--max-n", "4")
         assert child.returncode == 1, child.stderr
         assert "FAIL dendriform-rd" in child.stdout
 

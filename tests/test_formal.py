@@ -305,6 +305,12 @@ class TestTensorElement:
             (2, a, one, b), (10, a, b, b), (3, b, one, c), (15, b, c, c)
         )
 
+    @pytest.mark.parametrize("leg", [2, -1])
+    def test_expand_leg_rejects_other_legs(self, leg):
+        t = TensorElement.from_term((Monomial.unit(), Monomial.unit()))
+        with pytest.raises(ValueError, match=f"^leg must be 0 or 1, got {leg}$"):
+            t.expand_leg(leg, lambda m: TensorElement.from_term((m, m)))
+
     def test_expand_leg_arity_mismatch(self):
         t = TensorElement.from_term((Monomial.unit(),) * 3)
         with pytest.raises(ArityMismatch):

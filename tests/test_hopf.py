@@ -154,6 +154,12 @@ class TestCounit:
                 assert apply_counit(t, 0) == expected
                 assert apply_counit(t, 1) == expected
 
+    @pytest.mark.parametrize("leg", [2, -1])
+    def test_rejects_other_legs(self, leg):
+        t = coproduct(CoproductMode.RD, uniform(1, 2))
+        with pytest.raises(ValueError, match=f"^leg must be 0 or 1, got {leg}$"):
+            apply_counit(t, leg)
+
 
 class TestIteratedCoproduct:
     def test_u11_both_sides(self):
@@ -345,6 +351,12 @@ class TestAntipode:
             expected = ModuleElement.one() if m.n == 0 else ModuleElement.zero()
             assert convolve_antipode_identity(m, "left") == expected
             assert convolve_antipode_identity(m, "right") == expected
+
+    @pytest.mark.parametrize("side", ["lfet", None])
+    def test_antipode_law_rejects_other_sides(self, side):
+        # once read as "right", whose value on U_{1,1} is 0
+        with pytest.raises(ValueError, match="antipode_side must be 'left' or 'right'"):
+            convolve_antipode_identity(uniform(1, 1), side)
 
     def test_multiplicative_consistency(self, catalog_reps):
         # antipode_rd of a direct-sum class agrees with antipode_element of the

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from matroid_hopf import Matroid, ModuleElement, Monomial, TensorElement, uniform, verify
-from matroid_hopf.formal import S, X
+from matroid_hopf.formal import ONE, S, X, ZERO
 from matroid_hopf.verify import CheckResult, check_monomial_form, run_all
 
 # every suite's outcome and detail at the default bound, as `verify --all` prints them
@@ -139,6 +139,16 @@ def _constant(value):
     return lambda real: lambda *args: value
 
 
+def _constant_poly(value):
+    # P_M and its closed form both read value: with ZERO every identity of
+    # the witnesses holds, with ONE deletion-contraction fails and duals agree
+    def apply(monkeypatch):
+        for name in ("poly_P", "poly_P_closed_form"):
+            monkeypatch.setattr(verify, name, lambda m: value)
+
+    return apply
+
+
 # (suite, row, breaker, the parent's failure detail)
 FAILURES = [
     ("check_axioms", "matroid-axioms", _replace(verify, "validate", _constant(U01)),
@@ -192,6 +202,9 @@ FAILURES = [
      f"right side fails on {E}"),
     ("check_split_sums", "split-sum", _replace(verify, "reduced_coproduct", _asymmetric),
      "rc fails on Matroid(n=1, |I|=1)"),
+    ("check_codendriform_witness", "codendriform-gap",
+     _replace(verify, "codendriform_gap", _constant(TensorElement.zero(2))),
+     "no witness pair found"),
     ("check_exp_closed_form", "exp-closed-form",
      _replace(verify, "conv_exp", lambda real: lambda f: lambda m: X),
      f"fails on {E}"),
@@ -209,6 +222,16 @@ FAILURES = [
     ("check_recursions", "deletion-recursions",
      _replace(verify, "poly_P_recursion_check", _constant(False)),
      "fails on Matroid(n=1, |I|=1), e=0"),
+    ("check_monomial_form", "monomial-closed-form",
+     _replace(verify, "poly_P_closed_form", _constant(X)),
+     f"fails on {E}"),
+    ("check_monomial_form", "monomial-closed-form",
+     _replace(Matroid, "direct_sum", _constant(U01)),
+     f"product fails on {E},{E}"),
+    ("check_monomial_form", "monomial-closed-form", _constant_poly(ZERO),
+     "deletion-contraction unexpectedly holds"),
+    ("check_monomial_form", "monomial-closed-form", _constant_poly(ONE),
+     "dual invariance unexpectedly holds"),
 ]
 
 
