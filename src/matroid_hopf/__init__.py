@@ -8,6 +8,7 @@ from .matroid import (
     BadElement,
     BadVertexIndex,
     GroundSetTooLarge,
+    InputError,
     InvalidRank,
     Matroid,
     elements_of,
@@ -77,8 +78,8 @@ from .catalog import (
 
 __all__ = [
     "AxiomViolation", "BadElement", "BadVertexIndex", "GroundSetTooLarge",
-    "InvalidRank", "Matroid", "elements_of", "empty_matroid", "graphic",
-    "mask_of", "submasks", "uniform", "validate",
+    "InputError", "InvalidRank", "Matroid", "elements_of", "empty_matroid",
+    "graphic", "mask_of", "submasks", "uniform", "validate",
     "IsoKey", "canonical_key", "is_isomorphic",
     "ArityMismatch", "ModuleElement", "Monomial", "Polynomial", "TensorElement",
     "module_product",

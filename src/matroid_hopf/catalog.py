@@ -18,7 +18,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .canonical import IsoKey, canonical_key
-from .matroid import Matroid, elements_of, mask_of, submasks
+from .matroid import InputError, Matroid, elements_of, mask_of, submasks
 
 MAX_CATALOG_N = 4
 # (classes, labeled matroids) on n elements for every n <= MAX_CATALOG_N
@@ -27,7 +27,7 @@ KNOWN_COUNTS = {0: (1, 1), 1: (2, 2), 2: (4, 5), 3: (8, 16), 4: (17, 68)}
 CACHE_VERSION = 1
 
 
-class CatalogTooLarge(ValueError):
+class CatalogTooLarge(InputError):
     def __init__(self, n: int):
         super().__init__(
             f"catalog enumeration is limited to ground sets of size "
@@ -117,10 +117,11 @@ def save_cache(catalog: Catalog, cache_dir: Path) -> Path:
 
 
 def load_cache(n: int, cache_dir: Path) -> Catalog | None:
-    """Read a cached catalog; None when missing, stale, unreadable, when its
-    header is not a JSON object or its counts differ from ``KNOWN_COUNTS``,
-    when a record fails ``Matroid.from_dict``, the reader of ``--input``,
-    or when its records are not distinct classes on n elements."""
+    """Read a cached catalog; None when missing, stale, unreadable or nested
+    too deeply for ``json``, when its header is not a JSON object or its
+    counts differ from ``KNOWN_COUNTS``, when a record fails
+    ``Matroid.from_dict``, the reader of ``--input``, or when its records
+    are not distinct classes on n elements."""
     path = cache_path(n, cache_dir)
     if not path.is_file():
         return None
@@ -141,7 +142,7 @@ def load_cache(n: int, cache_dir: Path) -> Catalog | None:
         if len(keys) != header["count"] or any(key.n != n for key in keys):
             return None
         return Catalog(n, tuple(sorted(keys, key=IsoKey.sort_key)), header["labeled_count"])
-    except (OSError, ValueError, KeyError, IndexError, TypeError):
+    except (OSError, ValueError, KeyError, IndexError, TypeError, RecursionError):
         return None
 
 

@@ -5,7 +5,8 @@ Matroids come from --input (JSON file with keys "n" and "independent") or
 --expr ("uniform(r,n)" or "graphic(v; u-w, ...)").  verify enumerates the
 catalogs afresh on every run and reads no file.  Output is deterministic;
 --json mirrors each text line as one JSON object.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error:
+``main`` catches every bad input as the library's one ``InputError``.
 """
 
 from __future__ import annotations
@@ -17,28 +18,13 @@ import sys
 from pathlib import Path
 
 from .canonical import canonical_key
-from .catalog import CatalogTooLarge, MAX_CATALOG_N
+from .catalog import MAX_CATALOG_N
 from .characters import alpha, poly_P
-from .dendriform import EmptyMatroidError, split
+from .dendriform import split
 from .formal import Monomial
 from .hopf import CoproductMode, antipode_rd, coproduct
-from .matroid import (
-    AxiomViolation,
-    BadVertexIndex,
-    GroundSetTooLarge,
-    InvalidRank,
-    MalformedRecord,
-    Matroid,
-    check_size,
-    graphic,
-    uniform,
-)
+from .matroid import InputError, MalformedRecord, Matroid, check_size, graphic, uniform
 from .verify import run_all
-
-
-class InputError(ValueError):
-    pass
-
 
 _UNIFORM_RE = re.compile(r"^uniform\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
 _GRAPHIC_RE = re.compile(r"^graphic\(\s*(\d+)\s*(?:;(.*))?\)$")
@@ -83,7 +69,7 @@ def parse_expression(text: str) -> Matroid:
 def load_matroid_file(path: str) -> Matroid:
     try:
         record = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise InputError(f"cannot read matroid file {path}: {err}") from err
     try:
         return Matroid.from_dict(record)
@@ -187,15 +173,7 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return _dispatch(args)
-    except (
-        InputError,
-        AxiomViolation,
-        InvalidRank,
-        BadVertexIndex,
-        GroundSetTooLarge,
-        EmptyMatroidError,
-        CatalogTooLarge,
-    ) as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -214,8 +192,6 @@ def _dispatch(args) -> int:
         for fields, text in lines(m, mode):
             emit({"mode": args.mode, **fields} if mode else fields, text)
         return 0
-    if args.max_n > MAX_CATALOG_N:
-        raise CatalogTooLarge(args.max_n)
     results = run_all(max_n=args.max_n)
     width = max(len(r.name) for r in results)
     for r in results:

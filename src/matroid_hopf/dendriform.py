@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 from .formal import Monomial, TensorElement
 from .hopf import CoproductMode, SubsetFamily, _class_subset_sum, _subset_sum
-from .matroid import Matroid
+from .matroid import InputError, Matroid
 
 
-class EmptyMatroidError(ValueError):
+class EmptyMatroidError(InputError):
     pass
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache, partial
 from math import comb
-from typing import Literal
+from typing import Literal, get_args
 
 from .canonical import IsoKey
 from .formal import Monomial, ModuleElement, TensorElement, module_product
@@ -105,8 +105,13 @@ def _class_subset_sum(mode: CoproductMode, which: SubsetFamily, cls: Monomial) -
     block_keys)`` reads its component masks on M and builds and
     canonicalizes one family per block, and ``block_keys`` shares each
     (block, base) between the legs of the call.  Each (mask, base) leg is
-    computed once per call; ``cls`` itself is the leg (E, 0).
+    computed once per call; ``cls`` itself is the leg (E, 0).  Only cache
+    misses check ``mode`` and ``which``.
     """
+    if not isinstance(mode, CoproductMode):
+        raise ValueError(f"mode must be a CoproductMode, got {mode!r}")
+    if which not in get_args(SubsetFamily):
+        raise ValueError(f"which must be one of {get_args(SubsetFamily)}, got {which!r}")
     matroid = cls.matroid()
     full = matroid.full_mask
     legs: dict[tuple[int, int], Monomial] = {(full, 0): cls}

@@ -10,6 +10,8 @@ ascending order of their original labels, which makes the restriction and
 deletion composition identities literal equalities of Matroid values.
 ``Matroid.from_dict`` reads the JSON record of CLI input files and catalog
 caches alike.
+Every bad-input error, here or elsewhere, subclasses :class:`InputError`,
+which the CLI reports as exit code 2; API misuse raises plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ from math import comb
 from operator import or_
 
 
-class AxiomViolation(ValueError):
+class InputError(ValueError):
+    """The matroid or size the caller gave cannot be accepted."""
+
+
+class AxiomViolation(InputError):
     """A subset family fails one of the independence axioms I1, I2, I3.
 
     ``axiom`` is one of "I1", "I2", "I3"; ``witness`` is a tuple of the
@@ -34,18 +40,18 @@ class AxiomViolation(ValueError):
         self.witness = witness
 
 
-class InvalidRank(ValueError):
+class InvalidRank(InputError):
     pass
 
 
-class MalformedRecord(ValueError):
+class MalformedRecord(InputError):
     """A matroid record is not of the shape {"n": int, "independent": [[int]]}."""
 
 
 MAX_GROUND_SET = 10
 
 
-class GroundSetTooLarge(ValueError):
+class GroundSetTooLarge(InputError):
     def __init__(self, n: int):
         super().__init__(
             f"ground set of size {n} exceeds the canonicalization limit "
@@ -60,11 +66,11 @@ def check_size(n: int) -> None:
         raise GroundSetTooLarge(n)
 
 
-class BadVertexIndex(ValueError):
+class BadVertexIndex(InputError):
     pass
 
 
-class BadElement(ValueError):
+class BadElement(InputError):
     pass
 
 
@@ -380,14 +386,15 @@ def validate(n: int, family) -> Matroid:
     Deduplicates and sorts the family, then checks the axioms:
     I1 the family is nonempty (with downward closure this forces the empty
     set in), I2 every subset of a member is a member, I3 the exchange axiom.
-    Raises :class:`AxiomViolation` with a witness on failure.
+    Raises :class:`AxiomViolation` with a witness on failure, and
+    :class:`InputError` for a negative n or a mask outside the ground set.
     """
     if n < 0:
-        raise ValueError(f"ground-set size must be nonnegative, got {n}")
+        raise InputError(f"ground-set size must be nonnegative, got {n}")
     fam = sorted(set(family))
     for s in fam:
         if s < 0 or s >> n:
-            raise ValueError(f"mask {s} out of range for ground set of size {n}")
+            raise InputError(f"mask {s} out of range for ground set of size {n}")
     if not fam:
         raise AxiomViolation("I1", (), "the family of independent sets is empty")
     iset = set(fam)

@@ -31,7 +31,7 @@ from itertools import permutations
 from pathlib import Path
 
 from .canonical import all_permutation_key, canonical_key
-from .catalog import cached_catalog
+from .catalog import MAX_CATALOG_N, CatalogTooLarge, cached_catalog
 from .characters import (
     alpha,
     alpha_four_factor,
@@ -404,7 +404,10 @@ def check_monomial_form(reps) -> CheckResult:
 
 
 def run_all(max_n: int = 4, cache_dir: Path | None = None) -> list[CheckResult]:
-    """Run every suite; deterministic order and content."""
+    """Run every suite; deterministic order and content.  A ``max_n`` over
+    ``MAX_CATALOG_N`` raises ``CatalogTooLarge`` before any enumeration."""
+    if max_n > MAX_CATALOG_N:
+        raise CatalogTooLarge(max_n)
     reps = _representatives(max_n, cache_dir)
     return [
         check_axioms(reps),

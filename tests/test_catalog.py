@@ -112,6 +112,16 @@ class TestCache:
         assert load_cache(1, tmp_path) is None
         assert cached_catalog(1, tmp_path) == catalogs[1]
 
+    @pytest.mark.parametrize("line", [0, 1], ids=["header", "record"])
+    def test_deeply_nested_line_enumerates_again(self, tmp_path, catalogs, line):
+        # json raises RecursionError, not ValueError, at this depth
+        path = save_cache(catalogs[2], tmp_path)
+        lines = path.read_text().splitlines()
+        lines[line] = "[" * 200_000
+        path.write_text("\n".join(lines) + "\n")
+        assert load_cache(2, tmp_path) is None
+        assert cached_catalog(2, tmp_path) == catalogs[2]
+
     def test_cached_catalog_falls_back_to_enumeration(self, tmp_path, catalogs):
         assert cached_catalog(3, tmp_path) == catalogs[3]
 

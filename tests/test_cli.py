@@ -243,6 +243,63 @@ class TestErrors:
         code, _, _ = run(capsys, "poly", "--bogus")
         assert code == 2
 
+    def test_deeply_nested_input_file(self, capsys, tmp_path):
+        # json raises RecursionError, not ValueError, at this depth
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "show", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read matroid file {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (
+                ["show", "--expr", "uniform(3,2)"],
+                "uniform matroid needs 0 <= r <= n, got r=3, n=2",
+            ),
+            (
+                ["show", "--expr", "uniform(1,11)"],
+                "ground set of size 11 exceeds the canonicalization limit 10",
+            ),
+            (["show", "--expr", "graphic(2;0-5)"], "edge (0,5) exceeds vertex count 2"),
+            (
+                ["show", "--expr", "bogus"],
+                "cannot parse expression 'bogus'; expected uniform(r,n) or "
+                "graphic(v; u-w, ...)",
+            ),
+            (
+                ["split", "--expr", "uniform(0,0)"],
+                "the empty matroid is not in the augmentation ideal",
+            ),
+            (
+                ["show", "--input", "i2.json"],
+                "I2 violated: (0, 1) is independent but its subset (1,) is not",
+            ),
+            (
+                ["show", "--input", "ntrue.json"],
+                "ntrue.json: 'n' must be a nonnegative integer, got True",
+            ),
+            (
+                ["show", "--input", "missing.json"],
+                "cannot read matroid file missing.json: [Errno 2] No such file or "
+                "directory: 'missing.json'",
+            ),
+            (["show"], "one of --expr or --input is required"),
+            (
+                ["verify", "--max-n", "5"],
+                "catalog enumeration is limited to ground sets of size 4, got 5",
+            ),
+        ],
+    )
+    def test_error_corpus(self, capsys, tmp_path, monkeypatch, argv, stderr):
+        # the exact line of each kind of bad input, relative paths included
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "i2.json").write_text('{"n": 2, "independent": [[], [0, 1]]}')
+        (tmp_path / "ntrue.json").write_text('{"n": true, "independent": [[]]}')
+        assert run(capsys, *argv) == (2, "", f"error: {stderr}\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "poly", "--input", str(tmp_path / "nope.json"))
         assert code == 2

@@ -212,6 +212,33 @@ class TestIteratedCoproduct:
             iterated_coproduct(CoproductMode.RD, uniform(1, 1), "middle")
 
 
+@pytest.mark.parametrize("mode", ["rd", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda mode: coproduct(mode, uniform(1, 2)), id="coproduct"),
+        pytest.param(lambda mode: split(mode, uniform(1, 3)), id="split"),
+        pytest.param(
+            lambda mode: coproduct_monomial(mode, mono(uniform(1, 2))),
+            id="coproduct_monomial",
+        ),
+        pytest.param(
+            lambda mode: coproduct_monomial(mode, mono(uniform(1, 2), uniform(0, 1))),
+            id="coproduct_monomial-product",
+        ),
+    ],
+)
+def test_mode_must_be_a_coproduct_mode(call, mode):
+    with pytest.raises(ValueError, match=f"^mode must be a CoproductMode, got {mode!r}$"):
+        call(mode)
+
+
+@pytest.mark.parametrize("which", ["bogus", None])
+def test_subset_family_must_be_named(which):
+    with pytest.raises(ValueError, match="^which must be one of"):
+        hopf._subset_sum(CoproductMode.RD, uniform(1, 2), which)
+
+
 def test_cocommutativity_rd(catalog_reps):
     for m in catalog_reps:
         t = coproduct(CoproductMode.RD, m)

@@ -16,6 +16,7 @@ from matroid_hopf import (
     AxiomViolation,
     BadElement,
     BadVertexIndex,
+    InputError,
     InvalidRank,
     Matroid,
     elements_of,
@@ -82,6 +83,14 @@ class TestValidate:
     def test_out_of_range_mask(self):
         with pytest.raises(ValueError):
             validate(1, [0, 2])
+
+    @pytest.mark.parametrize(
+        "n, family, needle",
+        [(-1, [0], "nonnegative"), (2, [0, 4], "mask 4"), (2, [0, -1], "mask -1")],
+    )
+    def test_bad_size_or_mask_is_an_input_error(self, n, family, needle):
+        with pytest.raises(InputError, match=needle):
+            validate(n, family)
 
     @given(st.integers(0, 3), st.data())
     def test_matches_direct_axiom_oracle(self, n, data):

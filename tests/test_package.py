@@ -1,6 +1,10 @@
 from types import ModuleType
 
+import pytest
+
 import matroid_hopf
+from matroid_hopf import cli
+from matroid_hopf.matroid import MalformedRecord
 
 
 def test_all_names_every_public_object_and_no_module():
@@ -14,3 +18,29 @@ def test_all_names_every_public_object_and_no_module():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public == set(names)
+
+
+@pytest.mark.parametrize(
+    "cls, bad_input",
+    [
+        (matroid_hopf.AxiomViolation, True),
+        (matroid_hopf.InvalidRank, True),
+        (MalformedRecord, True),
+        (matroid_hopf.GroundSetTooLarge, True),
+        (matroid_hopf.BadVertexIndex, True),
+        (matroid_hopf.BadElement, True),
+        (matroid_hopf.EmptyMatroidError, True),
+        (matroid_hopf.CatalogTooLarge, True),
+        # misuse of the API, not bad input
+        (matroid_hopf.ArityMismatch, False),
+        (matroid_hopf.NotInfinitesimal, False),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_input_errors_are_one_type(cls, bad_input):
+    assert issubclass(cls, ValueError)
+    assert issubclass(cls, matroid_hopf.InputError) == bad_input
+
+
+def test_cli_raises_the_library_input_error():
+    assert cli.InputError is matroid_hopf.InputError

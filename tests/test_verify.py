@@ -2,7 +2,16 @@ from collections import Counter
 
 import pytest
 
-from matroid_hopf import Matroid, ModuleElement, Monomial, TensorElement, uniform, verify
+from matroid_hopf import (
+    CatalogTooLarge,
+    Matroid,
+    ModuleElement,
+    Monomial,
+    TensorElement,
+    uniform,
+    verify,
+)
+from matroid_hopf.catalog import MAX_CATALOG_N
 from matroid_hopf.formal import ONE, S, X, ZERO
 from matroid_hopf.verify import CheckResult, check_monomial_form, run_all
 
@@ -295,3 +304,12 @@ def test_direct_sum_compat_builds_each_minor_of_a_class_once(monkeypatch, catalo
     assert verify.check_direct_sum_compat(catalog_reps).ok
     assert set(calls) == _every_mask(catalog_reps, "restrict", "delete")
     assert set(calls.values()) == {1}
+
+
+def test_catalog_cap_raises_before_enumerating(monkeypatch):
+    def enumerated(*args):
+        pytest.fail("run_all enumerated a catalog")
+
+    monkeypatch.setattr(verify, "cached_catalog", enumerated)
+    with pytest.raises(CatalogTooLarge, match=f"got {MAX_CATALOG_N + 1}$"):
+        run_all(max_n=MAX_CATALOG_N + 1)
