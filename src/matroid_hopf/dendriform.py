@@ -17,7 +17,8 @@ pair does not satisfy the codendriform bialgebra compatibility, and the gap
 is computable.
 
 The kernel memoizes each of the three sums per (mode, subsets, class), and
-the axiom checks hand it the legs' classes without building matroids.
+the axiom checks and the gap (MN as the product of two classes) hand it
+classes without building matroids.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .formal import Monomial, TensorElement
 from .hopf import CoproductMode, SubsetFamily, _class_subset_sum, _subset_sum
-from .matroid import InputError, Matroid
+from .matroid import InputError, Matroid, check_size
 
 
 class EmptyMatroidError(InputError):
@@ -93,7 +94,6 @@ def check_dendriform_axioms(mode: CoproductMode, matroid: Matroid) -> Dendriform
     Axiom 2: (succ (x) Id) o prec = (Id (x) prec) o succ.
     Axiom 3: ((prec + succ) (x) Id) o succ = (Id (x) succ) o succ.
     """
-    _require_nonempty(matroid)
     halves = split(mode, matroid)
     a1_lhs = _compose(mode, halves.prec, 0, "dependent")
     a1_rhs = _compose(mode, halves.prec, 1, "proper")
@@ -117,14 +117,15 @@ def codendriform_gap(m1: Matroid, m2: Matroid) -> TensorElement:
     """
     _require_nonempty(m1)
     _require_nonempty(m2)
+    check_size(m1.n + m2.n)
     mode = CoproductMode.RD
     mono1 = Monomial.from_matroid(m1)
     mono2 = Monomial.from_matroid(m2)
     unit = Monomial.unit()
-    lhs = _subset_sum(mode, m1.direct_sum(m2), "independent")
+    lhs = _class_subset_sum(mode, "independent", mono1 * mono2)
 
-    red1 = reduced_coproduct(mode, m1)
-    succ2 = split(mode, m2).succ
+    red1 = _class_subset_sum(mode, "proper", mono1)
+    succ2 = _class_subset_sum(mode, "independent", mono2)
     rhs = TensorElement.zero(2)
     rhs = rhs + red1.legwise_product(succ2)
     rhs = rhs + red1.legwise_product(TensorElement.from_term((unit, mono2)))

@@ -238,16 +238,9 @@ class Monomial:
 
     @classmethod
     def from_factors(cls, keys) -> Monomial:
-        """Normalize arbitrary class keys, splitting disconnected ones."""
-        flat: list[IsoKey] = []
-        for key in keys:
-            if key.n == 0:
-                continue
-            m = key.matroid()
-            if m.is_connected():
-                flat.append(key)
-            else:
-                flat.extend(cls.from_matroid(m).factors)
+        """Product of the classes of arbitrary keys, each split into its
+        connected factors by ``from_matroid``."""
+        flat = [f for key in keys for f in cls.from_matroid(key.matroid()).factors]
         return cls(tuple(sorted(flat, key=IsoKey.sort_key)))
 
     @property
@@ -310,21 +303,22 @@ def _leg(m: Monomial, table: dict) -> tuple[str, tuple]:
     return ".".join(parts) or "1", (degree, tuple(keys))
 
 
-def _render_terms(terms, reverse: bool, unit_coeff: bool) -> str:
+def _render_terms(terms, module: bool) -> str:
     """Signed sum of (legs, c) terms, legs joined by ⊗, ordered by sort keys.
 
     One key table serves the whole call, so each distinct key is rendered
-    and its sort tuple built once however many factors refer to it.
-    ``unit_coeff`` writes a coefficient of 1 as "1*".
+    and its sort tuple built once however many factors refer to it.  A
+    ``module`` element lists its terms in descending order and writes a
+    coefficient of 1 as "1*"; a tensor lists them ascending and drops it.
     """
     table: dict = {}
     rows = []
     for legs, c in terms:
         texts, order = zip(*[_leg(m, table) for m in legs])
         rows.append((order, "⊗".join(texts), c))
-    rows.sort(key=itemgetter(0), reverse=reverse)
+    rows.sort(key=itemgetter(0), reverse=module)
     return _signed_sum(
-        (c < 0, f"{abs(c)}*{body}" if unit_coeff or abs(c) != 1 else body)
+        (c < 0, f"{abs(c)}*{body}" if module or abs(c) != 1 else body)
         for _, body, c in rows
     )
 
@@ -386,9 +380,7 @@ class ModuleElement:
         return module_product(self, other)
 
     def render(self) -> str:
-        return _render_terms(
-            (((m,), c) for m, c in self.terms.items()), reverse=True, unit_coeff=True
-        )
+        return _render_terms((((m,), c) for m, c in self.terms.items()), module=True)
 
     def __str__(self) -> str:
         return self.render()
@@ -499,7 +491,7 @@ class TensorElement:
         return TensorElement(3, out)
 
     def render(self) -> str:
-        return _render_terms(self.terms.items(), reverse=False, unit_coeff=False)
+        return _render_terms(self.terms.items(), module=False)
 
     def __str__(self) -> str:
         return self.render()

@@ -11,7 +11,9 @@ deletion composition identities literal equalities of Matroid values.
 ``Matroid.from_dict`` reads the JSON record of CLI input files and catalog
 caches alike.
 Every bad-input error, here or elsewhere, subclasses :class:`InputError`,
-which the CLI reports as exit code 2; API misuse raises plain ``ValueError``.
+which the CLI reports as exit code 2; API misuse raises plain ``ValueError``:
+a mask outside [0, 2^n) handed to ``restrict``, ``delete`` or ``contract``,
+or a ``relabel`` argument that is not a permutation of 0..n-1.
 """
 
 from __future__ import annotations
@@ -174,6 +176,8 @@ class Matroid:
         """
         if mask == self.full_mask:
             return self
+        if mask >> self.n:
+            raise _outside(mask, self.n)
         outside = ~mask
         fam = [s for s in self.independents if not s & outside]
         gaps = outside & ((1 << mask.bit_length()) - 1)
@@ -187,6 +191,8 @@ class Matroid:
 
     def delete(self, mask: int) -> Matroid:
         """Deletion of ``mask``: the restriction to the complement."""
+        if mask >> self.n:
+            raise _outside(mask, self.n)
         return self.restrict(self.full_mask & ~mask)
 
     def contract(self, mask: int) -> Matroid:
@@ -195,6 +201,8 @@ class Matroid:
         Uses the lexicographically least maximal independent subset of
         ``mask``; the result does not depend on that choice.
         """
+        if mask >> self.n:
+            raise _outside(mask, self.n)
         return self._minor(self.full_mask & ~mask, self._greedy_basis(mask))
 
     def _greedy_basis(self, mask: int, base: int = 0) -> int:
@@ -254,6 +262,8 @@ class Matroid:
 
     def relabel(self, perm) -> Matroid:
         """Image under the permutation e -> perm[e] of 0..n-1."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"{perm!r} is not a permutation of 0..{self.n - 1}")
         fam = sorted(
             mask_of(perm[e] for e in elements_of(s)) for s in self.independents
         )
@@ -371,6 +381,11 @@ class Matroid:
 
     def __str__(self) -> str:
         return f"Matroid(n={self.n}, |I|={len(self.independents)})"
+
+
+def _outside(mask: int, n: int) -> ValueError:
+    """For a mask with a bit at n or above, or below 0: ``mask >> n != 0``."""
+    return ValueError(f"mask {mask} is not a subset of a ground set of size {n}")
 
 
 def _bits(mask: int):

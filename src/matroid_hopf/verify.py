@@ -55,7 +55,7 @@ from .hopf import (
     coproduct_monomial,
     iterated_coproduct,
 )
-from .matroid import MAX_GROUND_SET, Matroid, submasks, uniform, validate
+from .matroid import MAX_GROUND_SET, InputError, Matroid, submasks, uniform, validate
 
 
 @dataclass(frozen=True)
@@ -404,8 +404,11 @@ def check_monomial_form(reps) -> CheckResult:
 
 
 def run_all(max_n: int = 4, cache_dir: Path | None = None) -> list[CheckResult]:
-    """Run every suite; deterministic order and content.  A ``max_n`` over
-    ``MAX_CATALOG_N`` raises ``CatalogTooLarge`` before any enumeration."""
+    """Run every suite; deterministic order and content.  A ``max_n`` below 0
+    raises ``InputError`` and one over ``MAX_CATALOG_N`` ``CatalogTooLarge``,
+    both before any enumeration."""
+    if max_n < 0:
+        raise InputError(f"verify needs a max_n of at least 0, got {max_n}")
     if max_n > MAX_CATALOG_N:
         raise CatalogTooLarge(max_n)
     reps = _representatives(max_n, cache_dir)

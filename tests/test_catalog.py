@@ -14,6 +14,7 @@ from matroid_hopf import matroid
 from matroid_hopf import (
     Catalog,
     CatalogTooLarge,
+    InputError,
     canonical_key,
     cached_catalog,
     enumerate_matroids,
@@ -80,6 +81,15 @@ def test_closed_under_minors_and_duals(catalogs, catalog_reps):
 def test_too_large():
     with pytest.raises(CatalogTooLarge):
         enumerate_matroids(5)
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_size_is_an_input_error(n, tmp_path):
+    with pytest.raises(InputError, match=f"got {n}$"):
+        enumerate_matroids(n)
+    for cache_dir in (None, tmp_path):
+        with pytest.raises(InputError, match=f"got {n}$"):
+            cached_catalog(n, cache_dir)
 
 
 class TestCache:

@@ -3,7 +3,9 @@ import pytest
 from matroid_hopf import (
     CoproductMode,
     EmptyMatroidError,
+    GroundSetTooLarge,
     IsoKey,
+    Matroid,
     Monomial,
     TensorElement,
     check_dendriform_axioms,
@@ -15,7 +17,7 @@ from matroid_hopf import (
     split,
     uniform,
 )
-from matroid_hopf import hopf
+from matroid_hopf import dendriform, hopf
 
 from oracles import coproduct_terms, tensor_codes
 
@@ -174,6 +176,55 @@ class TestCodendriformGap:
             codendriform_gap(empty_matroid(), uniform(1, 1))
         with pytest.raises(EmptyMatroidError):
             codendriform_gap(uniform(1, 1), empty_matroid())
+        # before the size of the sum: eleven loops and the empty matroid
+        with pytest.raises(EmptyMatroidError):
+            codendriform_gap(empty_matroid(), Matroid(11, (0,)))
+        with pytest.raises(EmptyMatroidError):
+            codendriform_gap(Matroid(11, (0,)), empty_matroid())
+
+    def test_size_checked_before_the_sum_is_built(self, monkeypatch):
+        def built(*args):
+            pytest.fail("codendriform_gap built a direct sum")
+
+        monkeypatch.setattr(Matroid, "direct_sum", built)
+        with pytest.raises(GroundSetTooLarge):
+            codendriform_gap(uniform(10, 10), uniform(10, 10))
+        with pytest.raises(GroundSetTooLarge):
+            codendriform_gap(uniform(1, 5), uniform(2, 6))
+
+    def test_equals_the_formula_through_split(self, monkeypatch, catalog_reps):
+        # on every pair of nonempty classes with at most 4 elements together,
+        # against the formula built from split, reduced_coproduct and the
+        # direct sum; the gap itself never calls split
+        pairs = [
+            (m1, m2)
+            for m1 in catalog_reps
+            for m2 in catalog_reps
+            if m1.n and m2.n and m1.n + m2.n <= 4
+        ]
+        want = [_gap_through_split(m1, m2) for m1, m2 in pairs]
+        assert any(want)
+
+        def split_called(*args):
+            pytest.fail("codendriform_gap called split")
+
+        monkeypatch.setattr(dendriform, "split", split_called)
+        assert [codendriform_gap(m1, m2) for m1, m2 in pairs] == want
+
+
+def _gap_through_split(m1, m2):
+    mode = CoproductMode.RD
+    mono1, mono2, unit = mono(m1), mono(m2), Monomial.unit()
+    red1 = reduced_coproduct(mode, m1)
+    succ2 = split(mode, m2).succ
+    rhs = (
+        red1.legwise_product(succ2)
+        + red1.legwise_product(TensorElement.from_term((unit, mono2)))
+        + succ2.legwise_product(TensorElement.from_term((mono1, unit)))
+        + succ2.legwise_product(TensorElement.from_term((unit, mono1)))
+        + TensorElement.from_term((mono1, mono2))
+    )
+    return split(mode, m1.direct_sum(m2)).succ - rhs
 
 
 def test_warm_class_calls_build_no_matroid(monkeypatch):

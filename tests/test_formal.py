@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,6 +175,20 @@ class TestMonomial:
     def test_from_factors_normalizes(self):
         key = canonical_key(uniform(2, 2))
         assert Monomial.from_factors([key]) == mono(uniform(1, 1), uniform(1, 1))
+
+    def test_from_factors_is_the_class_of_each_key(self, catalogs):
+        # every n <= 4 class, the empty and the disconnected ones included
+        keys = [key for n in range(5) for key in catalogs[n].classes]
+        singles = {}
+        for key in keys:
+            singles[key] = Monomial.from_factors([key])
+            assert singles[key] == Monomial.from_matroid(key.matroid())
+        assert Monomial.from_factors([]) == Monomial.unit()
+        for k1 in keys:
+            for k2 in keys:
+                assert Monomial.from_factors([k1, k2]) == singles[k1] * singles[k2]
+        three = keys[-3:]
+        assert Monomial.from_factors(three) == reduce(mul, (singles[k] for k in three))
 
     def test_product_of_classes_is_class_of_direct_sum(self, catalog_reps):
         small = [m for m in catalog_reps if m.n <= 2]

@@ -229,6 +229,31 @@ class TestMinors:
                     assert md.restrict(inner) == m.restrict(y)
                     assert md.delete(inner) == m.delete(x | y)
 
+    def test_masks_outside_the_ground_set_are_rejected(self, oracle_cases):
+        # a bit at n or above, alone or with bits inside, and negative masks
+        for m in oracle_cases:
+            top = 1 << m.n
+            for mask in (top, top | m.full_mask, -1, -top):
+                for minor in (m.restrict, m.delete, m.contract):
+                    with pytest.raises(ValueError, match=f"mask {mask} ") as err:
+                        minor(mask)
+                    assert type(err.value) is ValueError
+
+    def test_relabel_needs_a_permutation(self, oracle_cases):
+        for m in oracle_cases:
+            ident = list(range(m.n))
+            assert m.relabel(ident) == m
+            # too long, too short, an entry out of range, a repeated entry
+            bad = [ident + [m.n]]
+            if m.n >= 1:
+                bad += [ident[1:], ident[:-1] + [m.n], [-1] + ident[1:]]
+            if m.n >= 2:
+                bad.append([0] * m.n)
+            for perm in bad:
+                with pytest.raises(ValueError, match="not a permutation") as err:
+                    m.relabel(perm)
+                assert type(err.value) is ValueError
+
 
 class TestDirectSumAndDual:
     def test_direct_sum_examples(self):

@@ -4,6 +4,7 @@ import pytest
 
 from matroid_hopf import (
     CatalogTooLarge,
+    InputError,
     Matroid,
     ModuleElement,
     Monomial,
@@ -313,3 +314,13 @@ def test_catalog_cap_raises_before_enumerating(monkeypatch):
     monkeypatch.setattr(verify, "cached_catalog", enumerated)
     with pytest.raises(CatalogTooLarge, match=f"got {MAX_CATALOG_N + 1}$"):
         run_all(max_n=MAX_CATALOG_N + 1)
+
+
+def test_negative_max_n_raises_before_enumerating(monkeypatch):
+    # at -1 the catalog loop is empty: every row would pass over no classes
+    def enumerated(*args):
+        pytest.fail("run_all enumerated a catalog")
+
+    monkeypatch.setattr(verify, "cached_catalog", enumerated)
+    with pytest.raises(InputError, match="got -1$"):
+        run_all(max_n=-1)
