@@ -5,7 +5,6 @@ ground sets."""
 
 from .matroid import (
     AxiomViolation,
-    BadElement,
     BadVertexIndex,
     GroundSetTooLarge,
     InputError,
@@ -77,9 +76,9 @@ from .catalog import (
 )
 
 __all__ = [
-    "AxiomViolation", "BadElement", "BadVertexIndex", "GroundSetTooLarge",
-    "InputError", "InvalidRank", "Matroid", "elements_of", "empty_matroid",
-    "graphic", "mask_of", "submasks", "uniform", "validate",
+    "AxiomViolation", "BadVertexIndex", "GroundSetTooLarge", "InputError",
+    "InvalidRank", "Matroid", "elements_of", "empty_matroid", "graphic",
+    "mask_of", "submasks", "uniform", "validate",
     "IsoKey", "canonical_key", "is_isomorphic",
     "ArityMismatch", "ModuleElement", "Monomial", "Polynomial", "TensorElement",
     "module_product",

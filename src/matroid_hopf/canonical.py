@@ -113,17 +113,17 @@ def canonical_key(matroid: Matroid) -> IsoKey:
     hit = _key_cache.get((n, family))
     if hit is not None:
         return hit
-    if matroid.is_uniform():
-        # every relabeling fixes a uniform family
-        key = IsoKey(n, matroid.rank(), family)
-    else:
-        key = _lookup_or_search(matroid)
+    rank = matroid.rank()
+    key = IsoKey(n, rank, family)
+    # every relabeling fixes a uniform family, so it is its own key
+    if not key.is_uniform():
+        key = _lookup_or_search(matroid, rank)
     _key_cache[(n, family)] = key
     _key_cache[(n, key.family)] = key
     return key
 
 
-def _lookup_or_search(matroid: Matroid) -> IsoKey:
+def _lookup_or_search(matroid: Matroid, rank: int) -> IsoKey:
     """The key of an isomorphic family already searched, else a new search."""
     n, family = matroid.n, matroid.independents
     members = frozenset(family)
@@ -132,7 +132,7 @@ def _lookup_or_search(matroid: Matroid) -> IsoKey:
     for key, target, target_profiles in bucket:
         if _carries(n, members, profiles, target, target_profiles):
             return key
-    key = IsoKey(n, matroid.rank(), _min_relabeling(n, family))
+    key = IsoKey(n, rank, _min_relabeling(n, family))
     bucket.append((key, members, profiles))
     return key
 

@@ -12,8 +12,10 @@ deletion composition identities literal equalities of Matroid values.
 caches alike.
 Every bad-input error, here or elsewhere, subclasses :class:`InputError`,
 which the CLI reports as exit code 2; API misuse raises plain ``ValueError``:
-a mask outside [0, 2^n) handed to ``restrict``, ``delete`` or ``contract``,
-or a ``relabel`` argument that is not a permutation of 0..n-1.
+a mask outside [0, 2^n) handed to ``rank``, ``element_counts``,
+``components``, ``restrict``, ``delete`` or ``contract``, an element outside
+0..n-1 handed to ``is_loop``, or a ``relabel`` argument that is not a
+permutation of 0..n-1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from math import comb
 from operator import or_
 
 
@@ -69,10 +70,6 @@ def check_size(n: int) -> None:
 
 
 class BadVertexIndex(InputError):
-    pass
-
-
-class BadElement(InputError):
     pass
 
 
@@ -134,13 +131,16 @@ class Matroid:
         """Size of the largest independent subset of ``mask`` (default E)."""
         if mask is None:
             mask = self.full_mask
+        elif mask >> self.n:
+            raise _outside(mask, self.n)
         return max(s.bit_count() for s in self.independents if s & ~mask == 0)
 
     def bases(self) -> tuple[int, ...]:
         return self.maximal_independent_subsets(self.full_mask)
 
     def is_loop(self, e: int) -> bool:
-        self._check_element(e)
+        if not 0 <= e < self.n:
+            raise ValueError(f"element {e} outside ground set of size {self.n}")
         return bool(self.loops() >> e & 1)
 
     def loops(self) -> int:
@@ -163,31 +163,16 @@ class Matroid:
         """(c, l): elements of ``mask`` with independent / dependent singleton."""
         if mask is None:
             mask = self.full_mask
+        elif mask >> self.n:
+            raise _outside(mask, self.n)
         l = (mask & self.loops()).bit_count()
         return mask.bit_count() - l, l
 
     def restrict(self, mask: int) -> Matroid:
-        """Restriction to ``mask``, relabeled ascending to 0..|mask|-1.
-
-        Each maximal run of elements missing from ``mask`` below its top
-        element is closed by one shift of the bits above it.  That
-        compression keeps the order of the submasks of ``mask``, so the
-        family stays sorted.
-        """
-        if mask == self.full_mask:
-            return self
+        """Restriction to ``mask``, relabeled ascending to 0..|mask|-1."""
         if mask >> self.n:
             raise _outside(mask, self.n)
-        outside = ~mask
-        fam = [s for s in self.independents if not s & outside]
-        gaps = outside & ((1 << mask.bit_length()) - 1)
-        while gaps:
-            top = gaps.bit_length()
-            start = (mask & ((1 << top) - 1)).bit_length()
-            keep = (1 << start) - 1
-            fam = [(s & keep) | (s >> top << start) for s in fam]
-            gaps &= keep
-        return Matroid(mask.bit_count(), tuple(fam))
+        return self._minor(mask, 0)
 
     def delete(self, mask: int) -> Matroid:
         """Deletion of ``mask``: the restriction to the complement."""
@@ -223,10 +208,10 @@ class Matroid:
         ``base`` is independent and disjoint from ``mask``: a subset s of
         ``mask`` is independent in the minor iff s | base is independent in
         M.  submasks(mask) ascends, so the i-th one relabels to i.  With
-        ``base = 0`` this is M|mask, read off the independence oracle.
-        ``restrict`` scans the family instead, because it needs no oracle
-        set, which ``verify`` would otherwise build for many short-lived
-        matroids.
+        ``base = 0`` this is the restriction M|mask.  Every minor is built
+        here: ``restrict`` and ``delete`` with ``base = 0``, ``contract`` and
+        the block minors of ``Monomial.from_matroid`` with an independent
+        ``base``.
         """
         if mask == self.full_mask:
             return self
@@ -292,6 +277,8 @@ class Matroid:
         """
         if mask is None:
             mask = self.full_mask
+        if (mask | base) >> self.n:
+            raise _outside(mask | base, self.n)
         iset = self._iset
         basis = self._greedy_basis(mask, base)
         basis_bits = list(_bits(basis ^ base))
@@ -344,12 +331,6 @@ class Matroid:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def is_uniform(self) -> bool:
-        """True iff every subset of size at most rank(E) is independent."""
-        r = self.rank()
-        want = sum(comb(self.n, i) for i in range(r + 1))
-        return len(self.independents) == want
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -374,10 +355,6 @@ class Matroid:
                 if type(e) is not int or not 0 <= e < n:
                     raise MalformedRecord(f"element {e!r} is not an integer in [0, {n})")
         return validate(n, [mask_of(s) for s in sets])
-
-    def _check_element(self, e: int) -> None:
-        if not 0 <= e < self.n:
-            raise BadElement(f"element {e} outside ground set of size {self.n}")
 
     def __str__(self) -> str:
         return f"Matroid(n={self.n}, |I|={len(self.independents)})"

@@ -48,7 +48,14 @@ def test_idempotent(catalog_reps):
         key = canonical_key(m)
         again = canonical_key(key.matroid())
         assert again == key
-        assert key.is_uniform() == key.matroid().is_uniform()
+        # uniform iff every subset of at most rank elements is independent
+        sets = set(key.family)
+        small_sets_independent = all(
+            sum(c) in sets
+            for k in range(key.rank + 1)
+            for c in combinations([1 << e for e in range(key.n)], k)
+        )
+        assert key.is_uniform() == small_sets_independent
 
 
 def test_invariant_under_all_relabelings(catalog_reps):

@@ -26,7 +26,6 @@ from matroid_hopf import (
 )
 from matroid_hopf.characters import alpha_of_monomial, indicator
 from matroid_hopf.formal import ONE, S, X, Y, ZERO
-from matroid_hopf.matroid import BadElement
 
 from oracles import poly_P_terms
 
@@ -269,8 +268,11 @@ class TestRecursions:
                 assert poly_P_recursion_check(m, e)
 
     def test_bad_element(self):
-        with pytest.raises(BadElement):
-            poly_P_recursion_check(uniform(1, 1), 1)
+        # an element outside the ground set is API misuse, not bad input
+        for e in (1, -1):
+            with pytest.raises(ValueError, match=f"element {e} outside") as err:
+                poly_P_recursion_check(uniform(1, 1), e)
+            assert type(err.value) is ValueError
 
 
 class TestNegativeWitnesses:

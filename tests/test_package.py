@@ -28,7 +28,6 @@ def test_all_names_every_public_object_and_no_module():
         (MalformedRecord, True),
         (matroid_hopf.GroundSetTooLarge, True),
         (matroid_hopf.BadVertexIndex, True),
-        (matroid_hopf.BadElement, True),
         (matroid_hopf.EmptyMatroidError, True),
         (matroid_hopf.CatalogTooLarge, True),
         # misuse of the API, not bad input
