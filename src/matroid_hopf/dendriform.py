@@ -2,31 +2,31 @@
 
 The reduced coproduct (full coproduct minus both boundary terms) splits
 into a left part summing over dependent proper nonempty subsets and a right
-part summing over independent ones.  All three are the subset-sum kernel of
-``hopf``, named by its ``SubsetFamily``: "proper" for the reduced
-coproduct, "dependent" for the left half prec and "independent" for the
-right half succ.  The axiom checks apply a split to one leg through
-``TensorElement.expand_leg``.  The restriction-contraction split
-satisfies all three dendriform coalgebra axioms.  The restriction-deletion
-split satisfies axiom 1; it fails axioms 2 and 3 exactly when the matroid
-has a circuit of size at least 2 other than the ground set E, since both
-differences LHS2 - RHS2 and RHS3 - LHS3 equal the sum of
-M|B (x) M|C (x) M|(E - B - C) over ordered pairs of disjoint nonempty
-independent sets B, C whose union is a dependent proper subset of E.  The
-pair does not satisfy the codendriform bialgebra compatibility, and the gap
-is computable.
+part summing over independent ones.  Both halves are read off the terms
+M|A (x) M\\A (or M/A) of the memoized coproduct of a class: A is proper and
+nonempty iff both legs are nonempty, and A is independent iff the left leg
+M|A has rank |A|.  ``_halves`` memoizes the pair per (mode, class), and the
+axiom checks apply a half to one leg through ``TensorElement.expand_leg``.
+The restriction-contraction split satisfies all three dendriform coalgebra
+axioms.  The restriction-deletion split satisfies axiom 1; it fails axioms
+2 and 3 exactly when the matroid has a circuit of size at least 2 other
+than the ground set E, since both differences LHS2 - RHS2 and RHS3 - LHS3
+equal the sum of M|B (x) M|C (x) M|(E - B - C) over ordered pairs of
+disjoint nonempty independent sets B, C whose union is a dependent proper
+subset of E.  The pair does not satisfy the codendriform bialgebra
+compatibility, and the gap is computable.
 
-The kernel memoizes each of the three sums per (mode, subsets, class), and
-the axiom checks and the gap (MN as the product of two classes) hand it
-classes without building matroids.
+The axiom checks and the gap (MN as the product of two classes) hand
+``_halves`` classes without building matroids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .formal import Monomial, TensorElement
-from .hopf import CoproductMode, SubsetFamily, _class_subset_sum, _subset_sum
+from .hopf import CoproductMode, coproduct, coproduct_monomial
 from .matroid import InputError, Matroid, check_size
 
 
@@ -52,27 +52,31 @@ def _require_nonempty(matroid: Matroid) -> None:
 def reduced_coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
     """Coproduct minus the boundary terms M (x) 1 and 1 (x) M."""
     _require_nonempty(matroid)
-    return _subset_sum(mode, matroid, "proper")
+    full = coproduct(mode, matroid)
+    m, unit = Monomial.from_matroid(matroid), Monomial.unit()
+    return full - TensorElement(2, {(m, unit): 1, (unit, m): 1})
 
 
 def split(mode: CoproductMode, matroid: Matroid) -> SplitPair:
     """prec sums over dependent proper nonempty subsets, succ over independent."""
     _require_nonempty(matroid)
-    return SplitPair(
-        prec=_subset_sum(mode, matroid, "dependent"),
-        succ=_subset_sum(mode, matroid, "independent"),
-    )
+    check_size(matroid.n)
+    return _halves(mode, Monomial.from_matroid(matroid))
 
 
-def _compose(
-    mode: CoproductMode, outer: TensorElement, leg: int, which: SubsetFamily
-) -> TensorElement:
-    """Apply a split map to one leg of an arity-2 tensor, giving arity 3.
-
-    The legs of a split are nonempty classes, so each goes to the kernel as
-    it is.
-    """
-    return outer.expand_leg(leg, lambda m: _class_subset_sum(mode, which, m))
+@cache
+def _halves(mode: CoproductMode, cls: Monomial) -> SplitPair:
+    """The split of the class ``cls``, read off the terms a (x) b of its
+    coproduct: a term with both legs nonempty goes to succ when the rank of
+    a, the sum of its factors' ranks, is its degree, and to prec otherwise."""
+    prec: dict[tuple[Monomial, ...], int] = {}
+    succ: dict[tuple[Monomial, ...], int] = {}
+    for (a, b), c in coproduct_monomial(mode, cls).terms.items():
+        if a.is_unit or b.is_unit:
+            continue
+        half = succ if sum(k.rank for k in a.factors) == a.degree else prec
+        half[a, b] = c
+    return SplitPair(TensorElement(2, prec), TensorElement(2, succ))
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,19 @@ def check_dendriform_axioms(mode: CoproductMode, matroid: Matroid) -> Dendriform
     Axiom 3: ((prec + succ) (x) Id) o succ = (Id (x) succ) o succ.
     """
     halves = split(mode, matroid)
-    a1_lhs = _compose(mode, halves.prec, 0, "dependent")
-    a1_rhs = _compose(mode, halves.prec, 1, "proper")
-    a2_lhs = _compose(mode, halves.prec, 0, "independent")
-    a2_rhs = _compose(mode, halves.succ, 1, "dependent")
-    a3_lhs = _compose(mode, halves.succ, 0, "proper")
-    a3_rhs = _compose(mode, halves.succ, 1, "independent")
+
+    def prec(m: Monomial) -> TensorElement:
+        return _halves(mode, m).prec
+
+    def succ(m: Monomial) -> TensorElement:
+        return _halves(mode, m).succ
+
+    a1_lhs = halves.prec.expand_leg(0, prec)
+    a1_rhs = halves.prec.expand_leg(1, prec) + halves.prec.expand_leg(1, succ)
+    a2_lhs = halves.prec.expand_leg(0, succ)
+    a2_rhs = halves.succ.expand_leg(1, prec)
+    a3_lhs = halves.succ.expand_leg(0, prec) + halves.succ.expand_leg(0, succ)
+    a3_rhs = halves.succ.expand_leg(1, succ)
     return DendriformReport(a1_lhs == a1_rhs, a2_lhs == a2_rhs, a3_lhs == a3_rhs)
 
 
@@ -122,10 +133,11 @@ def codendriform_gap(m1: Matroid, m2: Matroid) -> TensorElement:
     mono1 = Monomial.from_matroid(m1)
     mono2 = Monomial.from_matroid(m2)
     unit = Monomial.unit()
-    lhs = _class_subset_sum(mode, "independent", mono1 * mono2)
+    lhs = _halves(mode, mono1 * mono2).succ
 
-    red1 = _class_subset_sum(mode, "proper", mono1)
-    succ2 = _class_subset_sum(mode, "independent", mono2)
+    halves1 = _halves(mode, mono1)
+    red1 = halves1.prec + halves1.succ
+    succ2 = _halves(mode, mono2).succ
     rhs = TensorElement.zero(2)
     rhs = rhs + red1.legwise_product(succ2)
     rhs = rhs + red1.legwise_product(TensorElement.from_term((unit, mono2)))

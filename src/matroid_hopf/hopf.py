@@ -3,20 +3,18 @@
 The restriction-contraction coproduct sends a matroid to the sum over all
 ground-set subsets A of (restriction to A) tensor (contraction of A); the
 restriction-deletion coproduct replaces the contraction with the deletion.
-Both extend multiplicatively to monomials.  One kernel takes that sum over
-a named family of subsets A: all of them for the coproduct, the proper
-nonempty ones for the reduced coproduct, the dependent or independent
-proper nonempty ones for the split halves.  The sum depends only on the
-isomorphism class, so the kernel is a function of the class:
-``_class_subset_sum`` is memoized with ``functools.cache`` per (mode,
-subsets, class monomial) and walks the class's representative
-``cls.matroid()``.  ``_subset_sum`` only canonicalizes a labeled matroid
-into its class, and callers that already hold a class, such as the monomial
-coproduct and the dendriform axiom checks, pass it directly.  The
-coproduct of a product of two or more factors is the legwise product of
-the factors' coproducts, cached apart; it never reads the kernel's entry
-for the product's own class, so multiplicativity checks compare two
-separate computations.  The antipode is cached per monomial.
+Both extend multiplicatively to monomials.  One kernel takes that sum.  It
+depends only on the isomorphism class, so the kernel is a function of the
+class: ``_class_subset_sum`` is memoized with ``functools.cache`` per
+(mode, class monomial) and walks the class's representative
+``cls.matroid()``.  ``coproduct`` only canonicalizes a labeled matroid into
+its class, and callers that already hold a class, such as the monomial
+coproduct, pass it directly.  ``dendriform`` reads the reduced coproduct
+and the split halves off the kernel's terms.  The coproduct of a product of
+two or more factors is the legwise product of the factors' coproducts,
+cached apart; it never reads the kernel's entry for the product's own
+class, so multiplicativity checks compare two separate computations.  The
+antipode is cached per monomial.
 
 On a miss the kernel visits one subset per orbit of the group generated
 by the twin transpositions of M (``Matroid.twin_classes``: parallel,
@@ -41,7 +39,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache, partial
 from math import comb
-from typing import Literal, get_args
+from typing import Literal
 
 from .canonical import IsoKey
 from .formal import Monomial, ModuleElement, TensorElement, module_product
@@ -51,9 +49,6 @@ from .matroid import Matroid, check_size, elements_of
 class CoproductMode(Enum):
     RC = "rc"
     RD = "rd"
-
-
-SubsetFamily = Literal["all", "proper", "dependent", "independent"]
 
 
 def _orbits(matroid: Matroid) -> list[tuple[int, int]]:
@@ -75,29 +70,16 @@ def _orbits(matroid: Matroid) -> list[tuple[int, int]]:
     return orbits
 
 
-def _subset_sum(mode: CoproductMode, matroid: Matroid, which: SubsetFamily) -> TensorElement:
-    """Sum over A in the family ``which`` of M|A (x) M\\A (RD) or M|A (x) M/A (RC).
-
-    ``which`` is "all" subsets, the "proper" nonempty ones, or the
-    "dependent" or "independent" proper nonempty ones.  The sum is that of
-    M's class, so this only checks the size and canonicalizes M.
-    """
-    check_size(matroid.n)
-    return _class_subset_sum(mode, which, Monomial.from_matroid(matroid))
-
-
 @cache
-def _class_subset_sum(mode: CoproductMode, which: SubsetFamily, cls: Monomial) -> TensorElement:
-    """``_subset_sum`` of the class ``cls``, memoized per (mode, which, cls).
+def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
+    """The coproduct of the class ``cls``, memoized per (mode, cls).
 
     The walk runs on the representative M = ``cls.matroid()``.  It goes over
     ``_orbits(M)``, each representative A with the size of its orbit as
-    weight.  An automorphism g of M maps the family onto itself, so
-    M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A, M\\A and M/A, and g(A)
-    is independent iff A is: every subset of an orbit adds the same pair of
-    leg classes, and lies in ``which`` iff A does (the empty and full sets
-    are orbits of their own).  Without twins every orbit is one subset of
-    weight 1.
+    weight.  An automorphism g of M maps its independent sets onto
+    themselves, so M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A, M\\A
+    and M/A: every subset of an orbit adds the same pair of leg classes.
+    Without twins every orbit is one subset of weight 1.
 
     No minor is built per A.  Every leg is a minor (M/base)|mask: M|A and
     M\\A = M|(E - A) with base = 0, and M/A = (M/base)|(E - A) with base
@@ -106,12 +88,10 @@ def _class_subset_sum(mode: CoproductMode, which: SubsetFamily, cls: Monomial) -
     canonicalizes one family per block, and ``block_keys`` shares each
     (block, base) between the legs of the call.  Each (mask, base) leg is
     computed once per call; ``cls`` itself is the leg (E, 0).  Only cache
-    misses check ``mode`` and ``which``.
+    misses check ``mode``.
     """
     if not isinstance(mode, CoproductMode):
         raise ValueError(f"mode must be a CoproductMode, got {mode!r}")
-    if which not in get_args(SubsetFamily):
-        raise ValueError(f"which must be one of {get_args(SubsetFamily)}, got {which!r}")
     matroid = cls.matroid()
     full = matroid.full_mask
     legs: dict[tuple[int, int], Monomial] = {(full, 0): cls}
@@ -123,13 +103,8 @@ def _class_subset_sum(mode: CoproductMode, which: SubsetFamily, cls: Monomial) -
             out = legs[mask, base] = Monomial.from_matroid(matroid, mask, base, block_keys)
         return out
 
-    independent = {"dependent": False, "independent": True}.get(which)
     terms: dict[tuple[Monomial, ...], int] = {}
     for a, weight in _orbits(matroid):
-        if which != "all" and not 0 < a < full:
-            continue
-        if independent is not None and matroid.is_independent(a) != independent:
-            continue
         base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
         pair = (leg(a, 0), leg(full ^ a, base))
         terms[pair] = terms.get(pair, 0) + weight
@@ -138,7 +113,8 @@ def _class_subset_sum(mode: CoproductMode, which: SubsetFamily, cls: Monomial) -
 
 def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
     """Sum over all subsets A of restriction(A) tensor (deletion|contraction)(A)."""
-    return _subset_sum(mode, matroid, "all")
+    check_size(matroid.n)
+    return _class_subset_sum(mode, Monomial.from_matroid(matroid))
 
 
 def coproduct_monomial(mode: CoproductMode, m: Monomial) -> TensorElement:
@@ -150,7 +126,7 @@ def coproduct_monomial(mode: CoproductMode, m: Monomial) -> TensorElement:
     so that checks of multiplicativity compare two separate computations.
     """
     if len(m.factors) == 1:
-        return _class_subset_sum(mode, "all", m)
+        return _class_subset_sum(mode, m)
     return _coproduct_product(mode, m)
 
 
@@ -158,7 +134,7 @@ def coproduct_monomial(mode: CoproductMode, m: Monomial) -> TensorElement:
 def _coproduct_product(mode: CoproductMode, m: Monomial) -> TensorElement:
     out = TensorElement.from_term((Monomial.unit(), Monomial.unit()))
     for key in m.factors:
-        out = out.legwise_product(_class_subset_sum(mode, "all", Monomial((key,))))
+        out = out.legwise_product(_class_subset_sum(mode, Monomial((key,))))
     return out
 
 

@@ -259,11 +259,11 @@ class Matroid:
         labels, ordered by least element.
 
         ``mask`` defaults to E; ``base`` is independent and disjoint from
-        ``mask``, so (M/base)|mask is the minor whose independent sets are
-        the subsets s of ``mask`` with s | base independent.  With
-        ``base = 0`` it is the restriction M|mask; with ``base`` a maximal
-        independent subset of A and ``mask = E - A`` it is the contraction
-        M/A.  No minor is built.
+        ``mask`` (ValueError otherwise), so (M/base)|mask is the minor whose
+        independent sets are the subsets s of ``mask`` with s | base
+        independent.  With ``base = 0`` it is the restriction M|mask; with
+        ``base`` a maximal independent subset of A and ``mask = E - A`` it
+        is the contraction M/A.  No minor is built.
 
         Components are the classes of the relation joining elements that lie
         on a common circuit; the matroid is the direct sum of its
@@ -280,6 +280,8 @@ class Matroid:
         if (mask | base) >> self.n:
             raise _outside(mask | base, self.n)
         iset = self._iset
+        if base & mask or base not in iset:
+            raise ValueError(f"base {base} is not independent and disjoint from mask {mask}")
         basis = self._greedy_basis(mask, base)
         basis_bits = list(_bits(basis ^ base))
         blocks = basis_bits[:]

@@ -44,7 +44,7 @@ from matroid_hopf import (
 )
 from matroid_hopf.canonical import all_permutation_key
 from matroid_hopf.characters import alpha, alpha_four_factor, alpha_of_monomial
-from matroid_hopf.dendriform import _compose
+from matroid_hopf.dendriform import _halves
 from matroid_hopf.formal import S, X, Y
 from matroid_hopf.hopf import (
     apply_counit,
@@ -242,12 +242,19 @@ def _rd_u13_sides_ok():
     ok &= halves.succ == tensor2((3, u11, u12))
     six = TensorElement.from_term((u11, u11, u11), 6)
     zero = TensorElement.zero(3)
+
+    def prec(m):
+        return _halves(rd, m).prec
+
+    def succ(m):
+        return _halves(rd, m).succ
+
     # axiom 2: (succ (x) Id) o prec = 6 U11^3, (Id (x) prec) o succ = 0
-    ok &= _compose(rd, halves.prec, 0, "independent") == six
-    ok &= _compose(rd, halves.succ, 1, "dependent") == zero
+    ok &= halves.prec.expand_leg(0, succ) == six
+    ok &= halves.succ.expand_leg(1, prec) == zero
     # axiom 3: ((prec + succ) (x) Id) o succ = 0, (Id (x) succ) o succ = 6 U11^3
-    ok &= _compose(rd, halves.succ, 0, "proper") == zero
-    ok &= _compose(rd, halves.succ, 1, "independent") == six
+    ok &= halves.succ.expand_leg(0, prec) + halves.succ.expand_leg(0, succ) == zero
+    ok &= halves.succ.expand_leg(1, succ) == six
     return ok
 
 

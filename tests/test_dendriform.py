@@ -81,6 +81,7 @@ class TestSplit:
                 continue
             # each input's class runs the kernel, not an isomorphic case's memo
             hopf._class_subset_sum.cache_clear()
+            dendriform._halves.cache_clear()
             fam, full = set(m.independents), (1 << m.n) - 1
 
             def prec(a):
@@ -250,3 +251,21 @@ def test_warm_class_calls_build_no_matroid(monkeypatch):
         monkeypatch.setattr(owner, "matroid", counted)
     calls()
     assert built == []
+
+
+def test_cold_split_walks_the_kernel_once(monkeypatch):
+    # both halves of U_{3,8} are read off one walk of its 9 orbit
+    # representatives (18 when each half walks the kernel on its own)
+    hopf._class_subset_sum.cache_clear()
+    dendriform._halves.cache_clear()
+    visited = []
+    orbits = hopf._orbits
+
+    def counted_orbits(m):
+        out = orbits(m)
+        visited.extend(out)
+        return out
+
+    monkeypatch.setattr(hopf, "_orbits", counted_orbits)
+    split(CoproductMode.RD, uniform(3, 8))
+    assert len(visited) == 9

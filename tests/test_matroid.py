@@ -372,6 +372,16 @@ class TestComponents:
         m = uniform(1, 2).direct_sum(uniform(1, 3))
         assert m.components() == (0b00011, 0b11100)
 
+    @pytest.mark.parametrize(
+        "m, mask, base",
+        [(uniform(1, 2), 0b01, 0b01), (uniform(1, 3), 0b100, 0b011)],
+        ids=["base meets mask", "dependent base"],
+    )
+    def test_components_rejects_a_bad_base(self, m, mask, base):
+        with pytest.raises(ValueError, match=f"^base {base} is not independent") as err:
+            m.components(mask, base)
+        assert type(err.value) is ValueError
+
 
 class TestTwinClasses:
     def test_examples(self, loop_example):
