@@ -10,13 +10,14 @@ A branch-and-bound search finds that minimum without visiting all n!
 relabelings.  It assigns new labels 0, 1, ... one at a time; once j labels
 are placed, the masks inside the placed elements are exactly the family's
 entries below 2^j, so they form a determined prefix of every completion.
-Four rules keep the tree small while preserving the exact lex-minimum:
+Five rules keep the tree small while preserving the exact lex-minimum:
 
 * the prefix grows by one sorted block per level, computed from the
   previous level's remapped values rather than rebuilt;
 * among sibling placements only those with the least block are explored,
   since any completion of a larger block is beaten by any completion of
-  the least one;
+  the least one; one walk over the prefix finds them and their block,
+  with no block built per candidate;
 * elements whose transposition fixes the family (twins: parallel, series,
   loop and coloop classes) are branched on once per class, since swapping
   two unplaced twins maps one subtree onto the other with equal encodings;
@@ -24,7 +25,11 @@ Four rules keep the tree small while preserving the exact lex-minimum:
   map it onto a sibling already explored, for the same reason.  The
   automorphisms come from the search itself: a leaf whose encoding ties
   with the best one differs from it by an automorphism (orbit pruning as
-  in McKay, "Practical graph isomorphism", 1981).
+  in McKay, "Practical graph isomorphism", 1981);
+* after such a tied leaf the search returns straight to the depth where
+  its labeling first differs from the best one's, since the new
+  automorphism maps everything left below that point onto the best leaf's
+  finished subtree (McKay's backjump).
 
 Any prefix already beaten by the best complete encoding is pruned as well.
 ``_min_relabeling`` gives the argument for each rule in full.
@@ -225,7 +230,13 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
       first differ, the smaller one wins outright, and a block that is a
       proper prefix of another loses, since the longer block's next entry
       is still below 2^(j+1).  Only candidates with the least block (end of
-      block counting as +infinity) can reach the minimum.
+      block counting as +infinity) can reach the minimum.  One walk over
+      the prefix finds them all: ``grows_by[s]`` holds the elements e with
+      s + e independent, and the candidates that have agreed so far keep
+      only those that grow the current entry s, if any do.  Those that
+      grow it have the entry next in their blocks, the others a larger
+      value or the end, so the survivors are exactly the least-block
+      candidates and the entries that kept a survivor are their block.
     * Twins.  If transposing e and f preserves the family, then with both
       unplaced it fixes every placed element, so it maps the completions
       below e onto those below f with equal encodings.  Such pairs form
@@ -243,17 +254,29 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
       encodings, and e is skipped.  The automorphisms are filtered again
       for every sibling, since those found below the first sibling are the
       ones that prune the later ones.
+    * Backjump.  Let that tied leaf first differ from best's at label c.
+      Its automorphism fixes the elements at labels 0..c-1 and maps the
+      element at label c onto best's, so it maps the leaf's ancestor at
+      depth c + 1 onto best's, whose subtree the search has finished: it
+      lies below an earlier sibling at depth c.  Every completion left
+      below the ancestor has an image there with an equal encoding, which
+      can at most tie with best, so the search returns straight to depth c
+      (McKay's backjump) and goes on with the next sibling there, which the
+      new automorphism may skip in turn.
 
     The prefix is also compared with the best complete encoding found so
     far: a subtree whose prefix is already worse is skipped, and one whose
     prefix is already better needs no further comparison.
     """
     matroid = Matroid(n, family)
-    members = matroid._iset
-    twin = [0] * n  # per element, the mask of its twin class
-    for cls in matroid.twin_classes():
-        for e in elements_of(cls):
-            twin[e] = cls
+    classes = matroid.twin_classes()
+    grows_by = [0] * (1 << n)  # per independent s, the elements e with s + e independent
+    for s in family:
+        rest = s
+        while rest:
+            low = rest & -rest
+            grows_by[s ^ low] |= low
+            rest ^= low
     end = 1 << n  # above every mask: marks the end of a block
     orig = [0]  # original masks of the determined prefix, in prefix order
     new = [0]  # their remapped values: the determined prefix itself
@@ -261,11 +284,13 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
     best: list[int] | None = None
     best_placed: list[int] = []
     autos: list[tuple[list[int], int]] = []  # (automorphism, moved elements)
+    back = n  # after a tied leaf, the depth the search returns to
 
-    def descend(unplaced: tuple[int, ...], better: bool) -> None:
+    def descend(unplaced: int, better: bool) -> None:
         # better: the prefix already beats best, so every completion does
-        nonlocal best, best_placed
-        if not unplaced:
+        nonlocal best, best_placed, back
+        depth = len(placed)
+        if depth == n:
             if better:
                 best, best_placed = new[:], placed[:]
                 return
@@ -273,53 +298,58 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
             # maps the family onto itself
             auto = list(range(n))
             moved = 0
-            for e, f in zip(placed, best_placed):
+            # downward, so back ends on the first label where they differ
+            for label in range(n - 1, -1, -1):
+                e, f = placed[label], best_placed[label]
                 if e != f:
                     auto[e] = f
                     moved |= 1 << e
+                    back = label
             autos.append((auto, moved))
             return
-        bit = 1 << (n - len(unplaced))
-        least: list[int] | None = None
-        chosen: list[int] = []
-        seen = 0  # elements of the twin classes already branched on
-        for e in unplaced:
-            if seen >> e & 1:
-                continue
-            seen |= twin[e]
-            ebit = 1 << e
-            block = [t | bit for s, t in zip(orig, new) if s | ebit in members]
-            block.append(end)
-            if least is None or block < least:
-                least, chosen = block, [e]
-            elif block == least:
-                chosen.append(e)
+        bit = 1 << depth
+        survivors = 0  # the least unplaced element of each twin class
+        for cls in classes:
+            rest = cls & unplaced
+            survivors |= rest & -rest
+        least: list[int] = []  # the survivors' block
+        grown: list[int] = []  # the original masks of its entries
+        for s, t in zip(orig, new):
+            kept = grows_by[s] & survivors
+            if kept:
+                survivors = kept
+                least.append(t | bit)
+                grown.append(s)
         p = len(new)
         if not better:
             # best's block at this level, compared by the same rule
             rival = best[p : bisect_left(best, bit << 1, p)]
             rival.append(end)
+            least.append(end)
             if least > rival:
                 return  # determined prefix already worse
             better = least < rival
-        least.pop()
-        explored = 0  # chosen siblings already explored, as a bitmask
-        for e in chosen:
+            least.pop()
+        explored = 0  # survivors already explored, as a bitmask
+        for e in elements_of(survivors):
             ebit = 1 << e
             if explored and _orbit_meets(e, explored, autos, placed):
                 continue
             explored |= ebit
-            orig.extend([s | ebit for s in orig[:p] if s | ebit in members])
+            orig.extend([s | ebit for s in grown])
             new.extend(least)
             placed.append(e)
             before = best
-            descend(tuple(f for f in unplaced if f != e), better)
+            descend(unplaced ^ ebit, better)
             # a new best shares this prefix, so later siblings are tied with it
             better = better and best is before
             del orig[p:], new[p:]
             placed.pop()
+            if back < depth:
+                return  # backjump: a tie below differs from best above here
+            back = n
 
-    descend(tuple(range(n)), True)
+    descend((1 << n) - 1, True)
     return tuple(best)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -179,10 +180,10 @@ def test_isomorphic_repeat_takes_the_searched_key(monkeypatch, name):
     assert canonical_key(copy) is key
 
 
-def _rank_three_paving(lines):
-    """Nine points whose dependent triples are exactly ``lines``."""
+def _rank_three_paving(lines, n=9):
+    """n points whose dependent triples are exactly ``lines``."""
     dependent = {sum(1 << e for e in line) for line in lines}
-    return Matroid(9, tuple(s for s in uniform(3, 9).independents if s not in dependent))
+    return Matroid(n, tuple(s for s in uniform(3, n).independents if s not in dependent))
 
 
 # Two (9_3) configurations: nine lines of three points, three through each
@@ -286,23 +287,63 @@ def test_golden_keys_beyond_oracle_reach(name):
 
 
 def test_orbit_rule_skips_pinned_siblings(monkeypatch):
-    # pins the search work: without the orbit rule no sibling is skipped
-    skipped = []
+    # pins the search work: without the orbit rule no sibling is skipped, and
+    # without the backjump a tied leaf leaves its ancestors' later siblings
+    # to be tested (M(K5) 282 calls, M*(K5 - e) 1,559, M(K4) 33)
+    calls = []
     orbit_meets = canonical._orbit_meets
 
     def counted(*args):
-        skipped.append(orbit_meets(*args))
-        return skipped[-1]
+        calls.append(orbit_meets(*args))
+        return calls[-1]
 
     monkeypatch.setattr(canonical, "_orbit_meets", counted)
-    k5, rank, digest = GOLDEN_KEYS["M(K5)"]
-    key = canonical.IsoKey(k5.n, rank, _min_relabeling(k5.n, k5.independents))
-    assert sum(skipped) == 59
-    assert _family_digest(key) == digest
-    skipped.clear()
+    for name, pinned in (("M(K5)", (187, 47)), ("M*(K5 - e)", (1216, 54))):
+        calls.clear()
+        m, rank, digest = GOLDEN_KEYS[name]
+        key = canonical.IsoKey(m.n, rank, _min_relabeling(m.n, m.independents))
+        assert (len(calls), sum(calls)) == pinned
+        assert _family_digest(key) == digest
+    calls.clear()
     k4 = ORACLE_INPUTS["M(K4)"]
     assert _min_relabeling(k4.n, k4.independents) == oracle_family("M(K4)")
-    assert sum(skipped) == 8
+    assert (len(calls), sum(calls)) == (27, 8)
+
+
+def _seeded_differential_inputs():
+    """Named 6- and 7-element matroids on which the search ties often."""
+    rng = random.Random(2701)
+    inputs = {}
+    for i in range(3):
+        # 7 of the 10 edges of K5: few twins; the second draw is K4 plus a
+        # bridge, which is twin-free
+        edges = sorted(rng.sample(K5_EDGES, 7))
+        inputs[f"simple graphic {i}"] = graphic(5, edges)
+        inputs[f"cographic {i}"] = graphic(5, edges).dual()
+    # twin-free with 24 automorphisms
+    inputs["M(K4)"] = graphic(4, K4_EDGES)
+    # the Fano plane and its dual: 168 automorphisms, no twins
+    inputs["F7"] = _rank_three_paving(
+        [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)], 7
+    )
+    inputs["F7*"] = inputs["F7"].dual()
+    # three series pairs, which its 48 automorphisms permute
+    inputs["M(K2,3)"] = graphic(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    return {
+        name: (m, rng.sample(range(m.n), m.n)) for name, m in inputs.items()
+    }
+
+
+DIFFERENTIAL_INPUTS = _seeded_differential_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
+def test_search_matches_oracle_where_ties_and_backjumps_fire(name):
+    m, perm = DIFFERENTIAL_INPUTS[name]
+    assert m.n in (6, 7)
+    copy = m.relabel(perm)
+    expected = least_relabeled_family(m.independents, m.n)
+    assert _min_relabeling(copy.n, copy.independents) == expected
 
 
 def test_cold_coproduct_searches_each_class_once(monkeypatch):
