@@ -11,11 +11,14 @@ and ``src/``.  Pair i runs ``perfbench/run.py --workload W --seed
 FIRST_SEED+i --seconds S`` in both checkouts, the parent first in even pairs
 and the change first in odd ones.  Pick seeds that neither checkout has run.
 
-Before any timing the script refuses checkouts whose paths differ in
-length, since ``peak_rss_mb`` follows the length of the checkout path, and
-imports the package once in each checkout, so that both run from the same
-bytecode state (``setup_s`` includes the import).  It stops at the first
-run whose result line does not read ``"correct": true`` with ``"failed": 0``.
+Before any timing the script refuses fewer than two pairs, since
+quartiles need two runs a side, and checkouts whose paths differ in length,
+since ``peak_rss_mb`` follows the length of the checkout path.  It reads
+the parent's ``BENCHMARK.json`` and imports the package once in each
+checkout, so that both run from the same bytecode state (``setup_s``
+includes the import).  It stops with a one-line error and exit 2 at the
+first run whose last line is not a JSON result with every end-to-end
+metric, or does not read ``"correct": true`` with ``"failed": 0``.
 
 For each end-to-end metric in the parent's ``BENCHMARK.json`` it prints
 both sides' medians and quartiles, the change of the median against the
@@ -54,6 +57,15 @@ def check_paths(parent: Path, change: Path) -> None:
             raise PairError(f"{checkout} has no perfbench/run.py")
 
 
+def read_metrics(parent: Path) -> list[dict]:
+    """The ``end_to_end`` metrics of the parent's ``BENCHMARK.json``."""
+    path = parent / "BENCHMARK.json"
+    try:
+        return json.loads(path.read_text())["end_to_end"]
+    except (OSError, ValueError, LookupError, TypeError) as err:
+        raise PairError(f"{path}: no end_to_end metrics ({err!r})") from None
+
+
 def _env() -> dict:
     # each checkout imports its own src/, never one named by the caller
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -65,18 +77,23 @@ def warm_bytecode(checkout: Path) -> None:
     subprocess.run([sys.executable, "-c", code], cwd=checkout, env=_env(), check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its end-to-end metrics as name -> value."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, names: list[str]) -> dict:
+    """One benchmark run; the metrics in ``names`` as name -> value."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
     child = subprocess.run(argv, cwd=checkout, env=_env(), capture_output=True, text=True)
     lines = child.stdout.strip().splitlines()
     if child.returncode != 0 or not lines:
         raise PairError(f"{checkout} seed {seed}: exit {child.returncode}\n{child.stderr}")
-    result = json.loads(lines[-1])
-    if result.get("correct") is not True or result.get("failed") != 0:
-        raise PairError(f"{checkout} seed {seed}: not correct: {lines[-1]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    try:
+        result = json.loads(lines[-1])
+        if result.get("correct") is not True or result.get("failed") != 0:
+            raise PairError(f"{checkout} seed {seed}: not correct: {lines[-1]}")
+        return {name: float(result["metrics"][name]["value"]) for name in names}
+    except (ValueError, LookupError, TypeError, AttributeError) as err:
+        raise PairError(
+            f"{checkout} seed {seed}: malformed result ({err!r}): {lines[-1]}"
+        ) from None
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -135,9 +152,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs a side")
     parent, change = args.parent.resolve(), args.change.resolve()
     try:
         check_paths(parent, change)
+        metrics = read_metrics(parent)
+        names = [metric["name"] for metric in metrics]
         for checkout in (parent, change):
             warm_bytecode(checkout)
         parent_runs, change_runs = [], []
@@ -145,12 +166,11 @@ def main(argv=None) -> int:
             seed = args.first_seed + i
             order = [(parent, parent_runs), (change, change_runs)]
             for checkout, runs in order if i % 2 == 0 else order[::-1]:
-                runs.append(run_once(checkout, args.workload, seed, args.seconds))
+                runs.append(run_once(checkout, args.workload, seed, args.seconds, names))
             print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
     except PairError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    metrics = json.loads((parent / "BENCHMARK.json").read_text())["end_to_end"]
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.first_seed}-"
           f"{args.first_seed + args.pairs - 1}, --seconds {args.seconds:g}")
     print("\n".join(format_rows(summarize(parent_runs, change_runs, metrics))))

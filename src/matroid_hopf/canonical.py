@@ -36,20 +36,22 @@ Any prefix already beaten by the best complete encoding is pruned as well.
 
 The coproducts canonicalize many minors that are isomorphic to one another
 under different labelings, so a search result is reused for the whole
-class.  Every searched family is kept in a bucket keyed by an isomorphism
-invariant (per element, how many independent sets of each size contain it).
-A family that misses the memo is first tested for isomorphism against the
-searched families of its bucket; on success it takes their key, which is
-byte-identical to what its own search would return, because the least
-relabeling depends only on the class.  Only a family isomorphic to none of
-them is searched.
+class.  The memo holds one entry per family asked for.  Every searched
+family is kept in a bucket keyed by an isomorphism invariant (per element,
+how many independent sets of each size contain it).  A family that misses
+the memo is first tested for isomorphism against the searched families of
+its bucket; on success it takes their key, which is byte-identical to what
+its own search would return, because the least relabeling depends only on
+the class.  Only a family isomorphic to none of them is searched.  A
+``key.matroid()`` round trip is served by the lookup too: its family is
+the key's own, which the bucket holds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import permutations
 from math import comb
 
@@ -91,10 +93,6 @@ class IsoKey:
         return self.render()
 
 
-# A dict rather than a functools.cache: canonical_key stores each key under
-# two families, the one it was asked for and the canonical one.
-_key_cache: dict[tuple[int, tuple[int, ...]], IsoKey] = {}
-
 Profiles = tuple[tuple[int, ...], ...]
 # Every searched family with its key, bucketed by _bucket_key: an index that
 # lookups scan, not a memo of one function's results.
@@ -104,40 +102,35 @@ _bucket_cache: dict[tuple, list[tuple[IsoKey, frozenset[int], Profiles]]] = {}
 def canonical_key(matroid: Matroid) -> IsoKey:
     """Canonical key of a matroid's isomorphism class.
 
-    Pure and memoized by the raw family, and also by the canonical family:
-    that family is the least of its own relabelings, so it is its own key,
-    and ``key.matroid()`` round trips skip the search.  A non-uniform family
-    that misses the memo takes the key of an isomorphic family the search
-    has already run on, found in its invariant bucket by ``_carries``; only
-    otherwise is it searched.  The memo only ever stores the value the
-    search would recompute, and a bucket only gains keys the search found,
-    so concurrent use is safe.
+    Pure and memoized by the raw family, one entry per family asked for.
+    A non-uniform family that misses the memo takes the key of an
+    isomorphic family the search has already run on, found in its
+    invariant bucket by ``_carries``; only otherwise is it searched.  A
+    ``key.matroid()`` round trip is such a miss, and the lookup finds the
+    canonical family itself in its bucket.  The memo only ever stores the
+    value the search would recompute, and a bucket only gains keys the
+    search found, so concurrent use is safe.
     """
     check_size(matroid.n)
-    n, family = matroid.n, matroid.independents
-    hit = _key_cache.get((n, family))
-    if hit is not None:
-        return hit
-    rank = matroid.rank()
-    key = IsoKey(n, rank, family)
+    return _family_key(matroid.n, matroid.independents)
+
+
+# keyed by the raw family rather than the Matroid, which would keep its
+# frozenset of the family alive in the memo
+@cache
+def _family_key(n: int, family: tuple[int, ...]) -> IsoKey:
+    key = IsoKey(n, Matroid(n, family).rank(), family)
     # every relabeling fixes a uniform family, so it is its own key
-    if not key.is_uniform():
-        key = _lookup_or_search(matroid, rank)
-    _key_cache[(n, family)] = key
-    _key_cache[(n, key.family)] = key
-    return key
-
-
-def _lookup_or_search(matroid: Matroid, rank: int) -> IsoKey:
-    """The key of an isomorphic family already searched, else a new search."""
-    n, family = matroid.n, matroid.independents
+    if key.is_uniform():
+        return key
     members = frozenset(family)
     profiles = _profiles(n, family)
     bucket = _bucket_cache.setdefault(_bucket_key(n, family, profiles), [])
-    for key, target, target_profiles in bucket:
-        if _carries(n, members, profiles, target, target_profiles):
-            return key
-    key = IsoKey(n, rank, _min_relabeling(n, family))
+    for found, target, target_profiles in bucket:
+        # a canonical family, as in a key.matroid() round trip, is its own key
+        if found == key or _carries(n, members, profiles, target, target_profiles):
+            return found
+    key = IsoKey(n, key.rank, _min_relabeling(n, family))
     bucket.append((key, members, profiles))
     return key
 

@@ -148,23 +148,39 @@ def test_pruned_search_matches_oracle_beyond_catalog(name):
 
 
 def _cold_canonical_memos(monkeypatch):
-    monkeypatch.setattr(canonical, "_key_cache", {})
+    canonical._family_key.cache_clear()
     monkeypatch.setattr(canonical, "_bucket_cache", {})
 
 
 def test_canonical_family_is_its_own_key(monkeypatch, catalog_reps):
-    # a canonical family is the least of its relabelings, so a cold call
-    # leaves key.matroid() a memo hit that returns the key itself
+    # a canonical family is the least of its relabelings, so it is its own
+    # key; the lookup serves it from the bucket of the family searched cold
     eight = ORACLE_INPUTS["K4 + parallel edge + self-loop"]
     for m in catalog_reps + [eight]:
         m = m.relabel(list(reversed(range(m.n))))
         _cold_canonical_memos(monkeypatch)
         key = canonical_key(m)
         assert _min_relabeling(key.n, key.family) == key.family
-        assert canonical_key(key.matroid()) is key
+        with monkeypatch.context() as patch:
+            # the bucket holds the key itself: no search, no bijection test
+            patch.setattr(canonical, "_min_relabeling", _no_search)
+            patch.setattr(canonical, "_carries", _no_search)
+            assert canonical_key(key.matroid()) is key
 
 
-def _no_search(n, family):
+def test_cold_miss_stores_one_entry(monkeypatch):
+    # the memo keeps the family asked for, not the canonical one besides
+    m = ORACLE_INPUTS["M(K4)"]
+    copy = m.relabel([(5 * e + 1) % m.n for e in range(m.n)])
+    _cold_canonical_memos(monkeypatch)
+    key = canonical_key(copy)
+    assert not key.is_uniform() and key.family != copy.independents
+    assert canonical._family_key.cache_info().currsize == 1
+    canonical_key(key.matroid())
+    assert canonical._family_key.cache_info().currsize == 2
+
+
+def _no_search(*args):
     raise AssertionError("an isomorphic family was searched again")
 
 

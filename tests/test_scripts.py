@@ -71,3 +71,83 @@ def test_bench_pairs_refuses_paths_of_unequal_length(tmp_path):
     assert child.returncode == 2
     assert "differ in length" in child.stderr
     assert child.stdout == ""
+
+
+BENCHMARK = '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.15}]}'
+
+
+def _fake_checkouts(tmp_path, last_line, benchmark=BENCHMARK):
+    """Checkouts "a" and "b" whose perfbench/run.py prints ``last_line``
+    and leaves a file behind, so a test can tell whether any run started."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for name in ("a", "b"):
+        root = tmp_path / name
+        (root / "src" / "matroid_hopf").mkdir(parents=True)
+        (root / "src" / "matroid_hopf" / "__init__.py").write_text("")
+        (root / "perfbench").mkdir()
+        (root / "perfbench" / "inputs.py").write_text("")
+        (root / "perfbench" / "run.py").write_text(
+            "import os, sys\n"
+            f"open(os.path.join({str(runs)!r}, str(os.getpid())), 'w').close()\n"
+            f"print({last_line!r})\n"
+        )
+        if benchmark is not None:
+            (root / "BENCHMARK.json").write_text(benchmark)
+    return runs, [str(tmp_path / "a"), str(tmp_path / "b")]
+
+
+def _bench_pairs_on(checkouts, *args):
+    return run_script(
+        "bench_pairs.py", *checkouts, "--workload", "expand-cold", "--first-seed", "1", *args
+    )
+
+
+def test_bench_pairs_compares_fake_runs(tmp_path):
+    result = '{"correct": true, "failed": 0, "metrics": {"wall_s": {"value": 0.5}}}'
+    runs, checkouts = _fake_checkouts(tmp_path, result)
+    child = _bench_pairs_on(checkouts, "--pairs", "2")
+    assert child.returncode == 0, child.stderr
+    assert len(list(runs.iterdir())) == 4
+    row = child.stdout.splitlines()[-1]
+    assert row.split()[:2] == ["wall_s", "0.5"] and "0/2" in row
+
+
+@pytest.mark.parametrize("pairs", ["0", "1"])
+def test_bench_pairs_refuses_fewer_than_two_pairs(tmp_path, pairs):
+    runs, checkouts = _fake_checkouts(tmp_path, "{}")
+    child = _bench_pairs_on(checkouts, "--pairs", pairs)
+    assert child.returncode == 2
+    assert "usage:" in child.stderr and "at least 2" in child.stderr
+    assert "Traceback" not in child.stderr
+    assert list(runs.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "last_line",
+    [
+        "wall_s 0.5",
+        '{"correct": true, "failed": 0, "metrics": {"ops_per_s": {"value": 2.0}}}',
+        '{"correct": true, "failed": 0, "metrics": {"wall_s": {"value": null}}}',
+        "[]",
+    ],
+    ids=["not JSON", "metric missing", "value not a number", "not an object"],
+)
+def test_bench_pairs_reports_a_malformed_result(tmp_path, last_line):
+    runs, checkouts = _fake_checkouts(tmp_path, last_line)
+    child = _bench_pairs_on(checkouts, "--pairs", "2")
+    assert child.returncode == 2
+    (line,) = child.stderr.splitlines()
+    assert line.startswith("error: ") and "malformed result" in line
+    assert child.stdout == ""
+    # the first run of the first pair is the last
+    assert len(list(runs.iterdir())) == 1
+
+
+def test_bench_pairs_reads_the_benchmark_before_any_run(tmp_path):
+    runs, checkouts = _fake_checkouts(tmp_path, "{}", benchmark=None)
+    child = _bench_pairs_on(checkouts, "--pairs", "2")
+    assert child.returncode == 2
+    (line,) = child.stderr.splitlines()
+    assert line.startswith("error: ") and "BENCHMARK.json" in line
+    assert list(runs.iterdir()) == []
