@@ -4,21 +4,26 @@
 Usage:
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload expand-cold \\
-        --first-seed 27201 [--pairs 10] [--seconds 8]
+        --first-seed 27201 [--pairs 10] [--seconds S]
 
 PARENT and CHANGE are checkout directories, each holding ``perfbench/run.py``
 and ``src/``.  Pair i runs ``perfbench/run.py --workload W --seed
 FIRST_SEED+i --seconds S`` in both checkouts, the parent first in even pairs
 and the change first in odd ones.  Pick seeds that neither checkout has run.
+The workloads and the default S are the ``workloads`` names and the
+``run_seconds`` of the parent's ``BENCHMARK.json``.
 
 Before any timing the script refuses fewer than two pairs, since
 quartiles need two runs a side, and checkouts whose paths differ in length,
 since ``peak_rss_mb`` follows the length of the checkout path.  It reads
-the parent's ``BENCHMARK.json`` and imports the package once in each
-checkout, so that both run from the same bytecode state (``setup_s``
-includes the import).  It stops with a one-line error and exit 2 at the
-first run whose last line is not a JSON result with every end-to-end
-metric, or does not read ``"correct": true`` with ``"failed": 0``.
+the parent's ``BENCHMARK.json``, refuses a workload that the file does not
+name, compiles every module under ``src/`` and ``perfbench/`` and imports
+the package once in each checkout.  Both then run from the same bytecode
+state (``setup_s`` includes the import), also under
+``PYTHONDONTWRITEBYTECODE``.  It stops with a one-line error and exit 2 at
+a checkout that cannot import the package, and at the first run whose last
+line is not a JSON result with every end-to-end metric, or does not read
+``"correct": true`` with ``"failed": 0``.
 
 For each end-to-end metric in the parent's ``BENCHMARK.json`` it prints
 both sides' medians and quartiles, the change of the median against the
@@ -38,8 +43,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("verify-n4", "expand-cold", "expand-warm")
-
 
 class PairError(RuntimeError):
     """The two checkouts cannot be compared, or a run is not trustworthy."""
@@ -57,13 +60,18 @@ def check_paths(parent: Path, change: Path) -> None:
             raise PairError(f"{checkout} has no perfbench/run.py")
 
 
-def read_metrics(parent: Path) -> list[dict]:
-    """The ``end_to_end`` metrics of the parent's ``BENCHMARK.json``."""
+def read_benchmark(parent: Path) -> tuple[list[str], float, list[dict]]:
+    """The workload names, ``run_seconds`` and ``end_to_end`` metrics of the
+    parent's ``BENCHMARK.json``."""
     path = parent / "BENCHMARK.json"
     try:
-        return json.loads(path.read_text())["end_to_end"]
+        benchmark = json.loads(path.read_text())
+        workloads = [workload["name"] for workload in benchmark["workloads"]]
+        return workloads, float(benchmark["run_seconds"]), benchmark["end_to_end"]
     except (OSError, ValueError, LookupError, TypeError) as err:
-        raise PairError(f"{path}: no end_to_end metrics ({err!r})") from None
+        raise PairError(
+            f"{path}: no workloads, run_seconds or end_to_end metrics ({err!r})"
+        ) from None
 
 
 def _env() -> dict:
@@ -72,9 +80,16 @@ def _env() -> dict:
 
 
 def warm_bytecode(checkout: Path) -> None:
-    """Import the package and the benchmark's modules once in ``checkout``."""
-    code = "import sys; sys.path[:0] = ['src', 'perfbench']; import matroid_hopf, inputs"
-    subprocess.run([sys.executable, "-c", code], cwd=checkout, env=_env(), check=True)
+    """Compile every module of ``checkout`` and import the package once."""
+    # compileall writes bytecode even where PYTHONDONTWRITEBYTECODE stops imports
+    code = ("import compileall, sys; compileall.compile_dir('src', quiet=2); "
+            "compileall.compile_dir('perfbench', quiet=2); "
+            "sys.path[:0] = ['src', 'perfbench']; import matroid_hopf, inputs")
+    child = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=_env(),
+                           capture_output=True, text=True)
+    if child.returncode != 0:
+        last = (child.stderr.strip().splitlines() or [""])[-1]
+        raise PairError(f"{checkout} cannot import the package (exit {child.returncode}): {last}")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, names: list[str]) -> dict:
@@ -147,17 +162,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload named in the parent's BENCHMARK.json")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8)
+    parser.add_argument("--seconds", type=float,
+                        help="seconds per run (default: the parent's run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two runs a side")
     parent, change = args.parent.resolve(), args.change.resolve()
     try:
         check_paths(parent, change)
-        metrics = read_metrics(parent)
+        workloads, run_seconds, metrics = read_benchmark(parent)
+        if args.workload not in workloads:
+            raise PairError(
+                f"unknown workload {args.workload!r}; BENCHMARK.json names "
+                f"{', '.join(workloads)}"
+            )
+        seconds = run_seconds if args.seconds is None else args.seconds
         names = [metric["name"] for metric in metrics]
         for checkout in (parent, change):
             warm_bytecode(checkout)
@@ -166,13 +189,13 @@ def main(argv=None) -> int:
             seed = args.first_seed + i
             order = [(parent, parent_runs), (change, change_runs)]
             for checkout, runs in order if i % 2 == 0 else order[::-1]:
-                runs.append(run_once(checkout, args.workload, seed, args.seconds, names))
+                runs.append(run_once(checkout, args.workload, seed, seconds, names))
             print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
     except PairError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.first_seed}-"
-          f"{args.first_seed + args.pairs - 1}, --seconds {args.seconds:g}")
+          f"{args.first_seed + args.pairs - 1}, --seconds {seconds:g}")
     print("\n".join(format_rows(summarize(parent_runs, change_runs, metrics))))
     return 0
 

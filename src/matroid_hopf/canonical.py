@@ -50,31 +50,24 @@ the key's own, which the bucket holds.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cache, total_ordering
+from functools import cache
 from itertools import permutations
 from math import comb
+from typing import NamedTuple
 
 from .matroid import Matroid, check_size, elements_of
 
 
-@total_ordering
-@dataclass(frozen=True)
-class IsoKey:
+class IsoKey(NamedTuple):
     """Canonical representative of a matroid isomorphism class.
 
-    Totally ordered by (n, rank, canonical family), lexicographically.
+    A tuple of (n, rank, canonical family): it hashes, compares and is
+    totally ordered as that tuple, lexicographically.
     """
 
     n: int
     rank: int
-    family: tuple[int, ...] = field(repr=False)
-
-    def sort_key(self):
-        return (self.n, self.rank, self.family)
-
-    def __lt__(self, other: IsoKey) -> bool:
-        return self.sort_key() < other.sort_key()
+    family: tuple[int, ...]
 
     def matroid(self) -> Matroid:
         return Matroid(self.n, self.family)

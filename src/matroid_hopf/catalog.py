@@ -67,7 +67,7 @@ def enumerate_matroids(n: int) -> Catalog:
                 fam.update(submasks(b))
             key = canonical_key(Matroid(n, tuple(sorted(fam))))
             seen.setdefault(key, None)
-    classes = tuple(sorted(seen, key=IsoKey.sort_key))
+    classes = tuple(sorted(seen))
     return Catalog(n, classes, labeled)
 
 
@@ -143,7 +143,7 @@ def load_cache(n: int, cache_dir: Path) -> Catalog | None:
         # as many distinct classes as the header counts, all of size n
         if len(keys) != header["count"] or any(key.n != n for key in keys):
             return None
-        return Catalog(n, tuple(sorted(keys, key=IsoKey.sort_key)), header["labeled_count"])
+        return Catalog(n, tuple(sorted(keys)), header["labeled_count"])
     except (OSError, ValueError, KeyError, IndexError, TypeError, RecursionError):
         return None
 

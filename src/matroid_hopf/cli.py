@@ -58,7 +58,6 @@ def parse_expression(text: str) -> Matroid:
                 except ValueError:
                     raise InputError(f"bad edge {part.strip()!r}, expected 'u-w'") from None
                 edges.append((u, w))
-        check_size(len(edges))
         return graphic(vertex_count, edges)
     raise InputError(
         f"cannot parse expression {text!r}; expected uniform(r,n) or "

@@ -234,14 +234,14 @@ class Monomial:
             if key is None:
                 key = block_keys[block, base] = canonical_key(matroid._minor(block, base))
             keys.append(key)
-        return cls(tuple(sorted(keys, key=IsoKey.sort_key)))
+        return cls(tuple(sorted(keys)))
 
     @classmethod
     def from_factors(cls, keys) -> Monomial:
         """Product of the classes of arbitrary keys, each split into its
         connected factors by ``from_matroid``."""
         flat = [f for key in keys for f in cls.from_matroid(key.matroid()).factors]
-        return cls(tuple(sorted(flat, key=IsoKey.sort_key)))
+        return cls(tuple(sorted(flat)))
 
     @property
     def degree(self) -> int:
@@ -252,11 +252,10 @@ class Monomial:
         return not self.factors
 
     def __mul__(self, other: Monomial) -> Monomial:
-        merged = sorted(self.factors + other.factors, key=IsoKey.sort_key)
-        return Monomial(tuple(merged))
+        return Monomial(tuple(sorted(self.factors + other.factors)))
 
     def sort_key(self):
-        return (self.degree, tuple(k.sort_key() for k in self.factors))
+        return (self.degree, self.factors)
 
     def __lt__(self, other: Monomial) -> bool:
         return self.sort_key() < other.sort_key()
@@ -279,37 +278,35 @@ _UNIT = Monomial(())
 
 
 def _leg(m: Monomial, table: dict) -> tuple[str, tuple]:
-    """Text and ``sort_key()`` of a monomial, each factor read from table.
+    """Text and ``sort_key()`` of a monomial, each factor's text from table.
 
-    ``table`` maps id(key) to (key, text, sort_key()) for every IsoKey met
-    so far; holding the key keeps its id from being reused while the table
-    lives.  Equal factors sit side by side and are grouped by text, which
-    names a key uniquely: U_{r,n} fixes (n, r) and M[n;...] the family.
+    ``table`` maps id(key) to (key, text) for every IsoKey met so far;
+    holding the key keeps its id from being reused while the table lives.
+    Equal factors sit side by side and are grouped by text, which names a
+    key uniquely: U_{r,n} fixes (n, r) and M[n;...] the family.
     """
     names = []
-    keys = []
     degree = 0
     for key in m.factors:
         entry = table.get(id(key))
         if entry is None:
-            entry = table[id(key)] = (key, key.render(), key.sort_key())
+            entry = table[id(key)] = (key, key.render())
         names.append(entry[1])
-        keys.append(entry[2])
         degree += key.n
     parts = []
     for name, run in groupby(names):
         k = len(list(run))
         parts.append(name if k == 1 else f"{name}^{k}")
-    return ".".join(parts) or "1", (degree, tuple(keys))
+    return ".".join(parts) or "1", (degree, m.factors)
 
 
 def _render_terms(terms, module: bool) -> str:
     """Signed sum of (legs, c) terms, legs joined by ⊗, ordered by sort keys.
 
     One key table serves the whole call, so each distinct key is rendered
-    and its sort tuple built once however many factors refer to it.  A
-    ``module`` element lists its terms in descending order and writes a
-    coefficient of 1 as "1*"; a tensor lists them ascending and drops it.
+    once however many factors refer to it.  A ``module`` element lists its
+    terms in descending order and writes a coefficient of 1 as "1*"; a
+    tensor lists them ascending and drops it.
     """
     table: dict = {}
     rows = []

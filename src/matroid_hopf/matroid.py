@@ -439,6 +439,7 @@ def graphic(vertex_count: int, edges) -> Matroid:
     matroid loops.
     """
     edges = [tuple(e) for e in edges]
+    check_size(len(edges))  # before the walk over all 2^m edge subsets
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise BadVertexIndex(

@@ -330,12 +330,11 @@ def check_codendriform_witness(reps) -> CheckResult:
 def check_exp_closed_form(reps) -> CheckResult:
     f = conv_exp(linear_combination([(X, delta_coloop()), (Y, delta_loop())]))
 
-    def cases():
-        for m in reps:
-            c, l = m.element_counts()
-            yield f"fails on {m}" if f(Monomial.from_matroid(m)) != X**c * Y**l else None
-
-    return _run_suite("exp-closed-form", "classes", cases())
+    cases = (
+        f"fails on {m}" if f(Monomial.from_matroid(m)) != poly_P_closed_form(m) else None
+        for m in reps
+    )
+    return _run_suite("exp-closed-form", "classes", cases)
 
 
 def check_alpha(reps) -> CheckResult:

@@ -10,6 +10,7 @@ from matroid_hopf import (
     CoproductMode,
     GroundSetTooLarge,
     Matroid,
+    Monomial,
     canonical_key,
     coproduct,
     graphic,
@@ -402,10 +403,25 @@ def test_is_isomorphic_examples():
 
 def test_total_order_is_consistent(catalogs):
     keys = [k for n in range(5) for k in catalogs[n].classes]
-    ordered = sorted(keys, key=lambda k: k.sort_key())
+    ordered = sorted(keys)
     for a, b in zip(ordered, ordered[1:]):
         assert a < b or a == b
         assert not b < a
+
+
+def test_keys_and_monomials_sort_by_their_fields(catalogs):
+    # keys order as (n, rank, family) and monomials as (degree, factors),
+    # and a key hashes as the plain tuple of its fields
+    rng = random.Random(29)
+    keys = [k for n in range(5) for k in catalogs[n].classes]
+    for key in keys:
+        assert hash(key) == hash((key.n, key.rank, key.family))
+    shuffled = rng.sample(keys, len(keys))
+    assert sorted(shuffled) == sorted(shuffled, key=lambda k: (k.n, k.rank, k.family))
+    monomials = [Monomial.from_factors(rng.sample(keys, rng.randint(0, 3))) for _ in range(60)]
+    assert sorted(monomials) == sorted(
+        monomials, key=lambda m: (sum(k.n for k in m.factors), m.factors)
+    )
 
 
 def test_concurrent_calls_agree(monkeypatch, catalog_reps):

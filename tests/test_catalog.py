@@ -50,7 +50,7 @@ def test_counts_match_live_oracle(catalogs):
 def test_classes_sorted_and_unique(catalogs):
     for n in range(5):
         keys = catalogs[n].classes
-        assert list(keys) == sorted(keys, key=lambda k: k.sort_key())
+        assert list(keys) == sorted(keys, key=lambda k: (k.n, k.rank, k.family))
         assert len(set(keys)) == len(keys)
 
 

@@ -15,6 +15,7 @@ import matroid_hopf
 from matroid_hopf import (
     AxiomViolation,
     BadVertexIndex,
+    GroundSetTooLarge,
     InputError,
     InvalidRank,
     Matroid,
@@ -133,6 +134,13 @@ class TestGraphic:
     def test_bad_vertex(self):
         with pytest.raises(BadVertexIndex):
             graphic(2, [(0, 2)])
+
+    def test_rejects_oversized_before_building(self):
+        # 11 edges would walk 2^11 subsets; the cap comes before the vertex check
+        with pytest.raises(GroundSetTooLarge):
+            graphic(3, [(0, 1)] * 11)
+        with pytest.raises(GroundSetTooLarge):
+            graphic(2, [(0, 2)] * 11)
 
     def test_isolated_vertices_cost_nothing(self):
         # A child process under a 1 GiB address-space limit: one union-find

@@ -73,23 +73,29 @@ def test_bench_pairs_refuses_paths_of_unequal_length(tmp_path):
     assert child.stdout == ""
 
 
-BENCHMARK = '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.15}]}'
+BENCHMARK = (
+    '{"run_seconds": 3, "workloads": [{"name": "expand-cold"}, {"name": "w2"}], '
+    '"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.15}]}'
+)
 
 
-def _fake_checkouts(tmp_path, last_line, benchmark=BENCHMARK):
+def _fake_checkouts(tmp_path, last_line, benchmark=BENCHMARK, package=("", "")):
     """Checkouts "a" and "b" whose perfbench/run.py prints ``last_line``
-    and leaves a file behind, so a test can tell whether any run started."""
+    and leaves a file holding its arguments behind, so a test can tell
+    whether and how any run started.  ``package`` holds the text of each
+    checkout's ``matroid_hopf/__init__.py``."""
     runs = tmp_path / "runs"
     runs.mkdir()
-    for name in ("a", "b"):
+    for name, init in zip(("a", "b"), package):
         root = tmp_path / name
         (root / "src" / "matroid_hopf").mkdir(parents=True)
-        (root / "src" / "matroid_hopf" / "__init__.py").write_text("")
+        (root / "src" / "matroid_hopf" / "__init__.py").write_text(init)
         (root / "perfbench").mkdir()
         (root / "perfbench" / "inputs.py").write_text("")
         (root / "perfbench" / "run.py").write_text(
             "import os, sys\n"
-            f"open(os.path.join({str(runs)!r}, str(os.getpid())), 'w').close()\n"
+            f"with open(os.path.join({str(runs)!r}, str(os.getpid())), 'w') as f:\n"
+            "    f.write(' '.join(sys.argv[1:]))\n"
             f"print({last_line!r})\n"
         )
         if benchmark is not None:
@@ -97,13 +103,15 @@ def _fake_checkouts(tmp_path, last_line, benchmark=BENCHMARK):
     return runs, [str(tmp_path / "a"), str(tmp_path / "b")]
 
 
-def _bench_pairs_on(checkouts, *args):
+def _bench_pairs_on(checkouts, *args, workload="expand-cold"):
     return run_script(
-        "bench_pairs.py", *checkouts, "--workload", "expand-cold", "--first-seed", "1", *args
+        "bench_pairs.py", *checkouts, "--workload", workload, "--first-seed", "1", *args
     )
 
 
-def test_bench_pairs_compares_fake_runs(tmp_path):
+def test_bench_pairs_compares_fake_runs(tmp_path, monkeypatch):
+    # both checkouts get bytecode even where imports would write none
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     result = '{"correct": true, "failed": 0, "metrics": {"wall_s": {"value": 0.5}}}'
     runs, checkouts = _fake_checkouts(tmp_path, result)
     child = _bench_pairs_on(checkouts, "--pairs", "2")
@@ -111,6 +119,9 @@ def test_bench_pairs_compares_fake_runs(tmp_path):
     assert len(list(runs.iterdir())) == 4
     row = child.stdout.splitlines()[-1]
     assert row.split()[:2] == ["wall_s", "0.5"] and "0/2" in row
+    for checkout in map(Path, checkouts):
+        for module in ("src/matroid_hopf/__init__.py", "perfbench/run.py"):
+            assert Path(importlib.util.cache_from_source(str(checkout / module))).is_file()
 
 
 @pytest.mark.parametrize("pairs", ["0", "1"])
@@ -150,4 +161,38 @@ def test_bench_pairs_reads_the_benchmark_before_any_run(tmp_path):
     assert child.returncode == 2
     (line,) = child.stderr.splitlines()
     assert line.startswith("error: ") and "BENCHMARK.json" in line
+    assert list(runs.iterdir()) == []
+
+
+def test_bench_pairs_takes_workloads_and_run_length_from_the_benchmark(tmp_path):
+    result = '{"correct": true, "failed": 0, "metrics": {"wall_s": {"value": 0.5}}}'
+    runs, checkouts = _fake_checkouts(tmp_path, result)
+    # a workload that BENCHMARK.json names, run for its run_seconds
+    child = _bench_pairs_on(checkouts, "--pairs", "2", workload="w2")
+    assert child.returncode == 0, child.stderr
+    argv = {run.read_text() for run in runs.iterdir()}
+    assert argv == {f"--workload w2 --seed {seed} --seconds 3.0" for seed in (1, 2)}
+    assert "--seconds 3" in child.stdout
+
+
+def test_bench_pairs_refuses_an_unknown_workload(tmp_path):
+    runs, checkouts = _fake_checkouts(tmp_path, "{}")
+    child = _bench_pairs_on(checkouts, "--pairs", "2", workload="verify-n4")
+    assert child.returncode == 2
+    (line,) = child.stderr.splitlines()
+    assert line.startswith("error: ") and "unknown workload 'verify-n4'" in line
+    assert "expand-cold, w2" in line
+    assert list(runs.iterdir()) == []
+
+
+@pytest.mark.parametrize("broken", [0, 1], ids=["parent", "change"])
+def test_bench_pairs_reports_a_checkout_that_cannot_import(tmp_path, broken):
+    package = ["", ""]
+    package[broken] = "raise RuntimeError('no import here')\n"
+    runs, checkouts = _fake_checkouts(tmp_path, "{}", package=package)
+    child = _bench_pairs_on(checkouts, "--pairs", "2")
+    assert child.returncode == 2
+    (line,) = child.stderr.splitlines()
+    assert line.startswith(f"error: {checkouts[broken]} cannot import the package")
+    assert line.endswith("RuntimeError: no import here")
     assert list(runs.iterdir()) == []
