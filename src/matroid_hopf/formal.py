@@ -15,11 +15,9 @@ All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from itertools import groupby
-from operator import itemgetter
+from typing import NamedTuple
 
 from .canonical import IsoKey, canonical_key
 from .matroid import Matroid
@@ -89,7 +87,7 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> Polynomial:
-        return _promote(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> Polynomial:
         other = _promote(other)
@@ -193,17 +191,28 @@ Y = Polynomial({(0, 1, 0): 1})
 S = Polynomial({(0, 0, 1): 1})
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Monomial:
+class _Graded(NamedTuple):
+    degree: int
+    factors: tuple[IsoKey, ...]
+
+
+class Monomial(_Graded):
     """Commutative product of connected matroid classes; () is the unit.
 
-    Ordered by (total degree, factor key list); the factor tuple is sorted
-    and every factor is connected with nonempty ground set, so equal
-    products always compare equal.
+    The tuple (total degree, sorted factor keys), hashed, compared and
+    ordered as such; every factor is connected with nonempty ground set,
+    so equal products always compare equal.
     """
 
-    factors: tuple[IsoKey, ...]
+    __slots__ = ()
+    # a product is ``*``; no tuple concatenation or repetition
+    __add__ = __radd__ = __rmul__ = None
+
+    def __new__(cls, factors: tuple[IsoKey, ...]) -> Monomial:
+        return tuple.__new__(cls, (sum([k.n for k in factors]), factors))
+
+    def __getnewargs__(self):
+        return (self.factors,)
 
     @classmethod
     def unit(cls) -> Monomial:
@@ -244,21 +253,11 @@ class Monomial:
         return cls(tuple(sorted(flat)))
 
     @property
-    def degree(self) -> int:
-        return sum(k.n for k in self.factors)
-
-    @property
     def is_unit(self) -> bool:
         return not self.factors
 
     def __mul__(self, other: Monomial) -> Monomial:
         return Monomial(tuple(sorted(self.factors + other.factors)))
-
-    def sort_key(self):
-        return (self.degree, self.factors)
-
-    def __lt__(self, other: Monomial) -> bool:
-        return self.sort_key() < other.sort_key()
 
     def matroid(self) -> Matroid:
         """A representative matroid: the direct sum of the factors."""
@@ -268,7 +267,7 @@ class Monomial:
         return out
 
     def render(self) -> str:
-        return _leg(self, {})[0]
+        return _leg(self, {})
 
     def __str__(self) -> str:
         return self.render()
@@ -277,8 +276,8 @@ class Monomial:
 _UNIT = Monomial(())
 
 
-def _leg(m: Monomial, table: dict) -> tuple[str, tuple]:
-    """Text and ``sort_key()`` of a monomial, each factor's text from table.
+def _leg(m: Monomial, table: dict) -> str:
+    """Text of a monomial, each factor's text from table.
 
     ``table`` maps id(key) to (key, text) for every IsoKey met so far;
     holding the key keeps its id from being reused while the table lives.
@@ -286,22 +285,20 @@ def _leg(m: Monomial, table: dict) -> tuple[str, tuple]:
     key uniquely: U_{r,n} fixes (n, r) and M[n;...] the family.
     """
     names = []
-    degree = 0
     for key in m.factors:
         entry = table.get(id(key))
         if entry is None:
             entry = table[id(key)] = (key, key.render())
         names.append(entry[1])
-        degree += key.n
     parts = []
     for name, run in groupby(names):
         k = len(list(run))
         parts.append(name if k == 1 else f"{name}^{k}")
-    return ".".join(parts) or "1", (degree, m.factors)
+    return ".".join(parts) or "1"
 
 
 def _render_terms(terms, module: bool) -> str:
-    """Signed sum of (legs, c) terms, legs joined by ⊗, ordered by sort keys.
+    """Signed sum of (legs, c) terms, legs joined by ⊗, sorted by the legs.
 
     One key table serves the whole call, so each distinct key is rendered
     once however many factors refer to it.  A ``module`` element lists its
@@ -309,15 +306,12 @@ def _render_terms(terms, module: bool) -> str:
     tensor lists them ascending and drops it.
     """
     table: dict = {}
-    rows = []
-    for legs, c in terms:
-        texts, order = zip(*[_leg(m, table) for m in legs])
-        rows.append((order, "⊗".join(texts), c))
-    rows.sort(key=itemgetter(0), reverse=module)
-    return _signed_sum(
-        (c < 0, f"{abs(c)}*{body}" if module or abs(c) != 1 else body)
-        for _, body, c in rows
-    )
+    parts = []
+    # the legs are distinct (dict keys), so the (legs, c) pairs sort by legs alone
+    for legs, c in sorted(terms, reverse=module):
+        body = "⊗".join([_leg(m, table) for m in legs])
+        parts.append((c < 0, f"{abs(c)}*{body}" if module or abs(c) != 1 else body))
+    return _signed_sum(parts)
 
 
 class ModuleElement:

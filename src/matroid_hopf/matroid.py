@@ -13,7 +13,8 @@ caches alike.
 Every bad-input error, here or elsewhere, subclasses :class:`InputError`,
 which the CLI reports as exit code 2; API misuse raises plain ``ValueError``:
 a mask outside [0, 2^n) handed to ``rank``, ``element_counts``,
-``components``, ``restrict``, ``delete`` or ``contract``, an element outside
+``components``, ``restrict``, ``delete`` or ``contract``, a negative mask
+handed to ``elements_of`` or ``submasks``, an element outside
 0..n-1 handed to ``is_loop``, or a ``relabel`` argument that is not a
 permutation of 0..n-1.
 """
@@ -83,6 +84,8 @@ def mask_of(elements) -> int:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """Sorted element labels present in a bitmask."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     e = 0
     while mask:
@@ -95,6 +98,8 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 def submasks(mask: int):
     """All submasks of a bitmask, ascending as integers."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     sub = 0
     while True:
         yield sub

@@ -330,18 +330,22 @@ def render_monomial(m):
 def render_sum(x):
     """A ModuleElement's or TensorElement's text, rendering every leg anew.
 
-    Module terms run by descending ``sort_key`` and always carry "c*";
-    tensor terms run by ascending tuple of leg sort keys, with legs joined
-    by "⊗" and "c*" only when |c| != 1.
+    Module terms run by descending (degree, factors) and always carry "c*";
+    tensor terms run by ascending tuple of the legs' (degree, factors), with
+    legs joined by "⊗" and "c*" only when |c| != 1.
     """
     if hasattr(x, "arity"):
-        rows = sorted(x.terms.items(), key=lambda t: tuple(m.sort_key() for m in t[0]))
+        rows = sorted(
+            x.terms.items(), key=lambda t: tuple((m.degree, m.factors) for m in t[0])
+        )
         bodies = [
             (c, "⊗".join(render_monomial(m) for m in legs)) for legs, c in rows
         ]
         bodies = [(c, body if abs(c) == 1 else f"{abs(c)}*{body}") for c, body in bodies]
     else:
-        rows = sorted(x.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
+        rows = sorted(
+            x.terms.items(), key=lambda t: (t[0].degree, t[0].factors), reverse=True
+        )
         bodies = [(c, f"{abs(c)}*{render_monomial(m)}") for m, c in rows]
     text = ""
     for c, body in bodies:

@@ -411,7 +411,7 @@ def test_total_order_is_consistent(catalogs):
 
 def test_keys_and_monomials_sort_by_their_fields(catalogs):
     # keys order as (n, rank, family) and monomials as (degree, factors),
-    # and a key hashes as the plain tuple of its fields
+    # and each hashes as the plain tuple of its fields
     rng = random.Random(29)
     keys = [k for n in range(5) for k in catalogs[n].classes]
     for key in keys:
@@ -419,6 +419,8 @@ def test_keys_and_monomials_sort_by_their_fields(catalogs):
     shuffled = rng.sample(keys, len(keys))
     assert sorted(shuffled) == sorted(shuffled, key=lambda k: (k.n, k.rank, k.family))
     monomials = [Monomial.from_factors(rng.sample(keys, rng.randint(0, 3))) for _ in range(60)]
+    for m in monomials:
+        assert hash(m) == hash((m.degree, m.factors))
     assert sorted(monomials) == sorted(
         monomials, key=lambda m: (sum(k.n for k in m.factors), m.factors)
     )

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -62,6 +64,14 @@ class TestPolynomial:
     def test_integer_coefficient_probe(self):
         assert (3 * X).has_integer_coefficients()
         assert not (X / 2).has_integer_coefficients()
+
+    def test_foreign_operands_raise_type_error(self):
+        # in either order; ``1.5 - X`` once recursed in __rsub__ without end
+        assert 1 - X == ONE - X and Fraction(1, 2) - X == -(X - Fraction(1, 2))
+        for other in (1.5, None):
+            for op in (lambda: X - other, lambda: other - X, lambda: other + X, lambda: other * X):
+                with pytest.raises(TypeError):
+                    op()
 
 
 small_polys = st.dictionaries(
@@ -201,6 +211,26 @@ class TestMonomial:
             assert mono(m).degree == m.n
         a, b = mono(uniform(1, 2)), mono(uniform(2, 4))
         assert (a * b).degree == a.degree + b.degree
+        # degree is stored when a monomial is built, on every way to build one
+        ones = [Monomial.from_matroid(m) for m in catalog_reps]
+        products = [p * q for p in ones[:8] for q in ones[-8:]]
+        for m in [Monomial.unit(), *ones, *products]:
+            assert m.degree == sum(k.n for k in m.factors)
+
+    def test_pickle_and_copy_round_trips(self, catalog_reps):
+        for m in [Monomial.unit()] + [mono(r) for r in catalog_reps]:
+            for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+                assert type(twin) is Monomial
+                assert twin == m and twin.degree == m.degree and hash(twin) == hash(m)
+
+    def test_no_tuple_arithmetic(self):
+        # a monomial is a tuple underneath, but not for + and int * m;
+        # nor does it carry a per-instance __dict__
+        m = mono(uniform(1, 2))
+        for op in (lambda: m + m, lambda: 3 * m, lambda: (m,) + m):
+            with pytest.raises(TypeError):
+                op()
+        assert not hasattr(m, "__dict__")
 
     def test_rendering(self):
         assert Monomial.unit().render() == "1"

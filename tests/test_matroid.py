@@ -43,6 +43,16 @@ def test_mask_helpers():
     assert list(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
 
 
+def test_mask_helpers_reject_negative_masks():
+    # -1 once sent elements_of into an endless loop and submasks into an
+    # endless stream; submasks raises before it yields anything
+    for mask in (-1, -6):
+        with pytest.raises(ValueError, match=f"mask {mask} is negative"):
+            elements_of(mask)
+        with pytest.raises(ValueError, match=f"mask {mask} is negative"):
+            next(submasks(mask))
+
+
 class TestValidate:
     def test_empty_matroid(self):
         m = validate(0, [0])
