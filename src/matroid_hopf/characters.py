@@ -9,13 +9,12 @@ subset-sum polynomial invariant up to a power of s.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from math import comb
 
 from .formal import Monomial, Polynomial, ONE, S, X, Y, ZERO
 from .hopf import CoproductMode, coproduct_monomial
-from .matroid import MAX_GROUND_SET, Matroid, check_size, uniform
+from .matroid import MAX_GROUND_SET, Matroid, check_size, class_orbits, uniform
 
 
 class NotInfinitesimal(ValueError):
@@ -189,16 +188,6 @@ def alpha_four_factor(matroid: Matroid) -> Polynomial:
     return alpha_four_factor_functional()(Monomial.from_matroid(matroid))
 
 
-# One byte of the poly_P walk holds c(A) + _RADIX * l(A) with both counts at
-# most MAX_GROUND_SET, so it stays below _RADIX**2 and no count carries into
-# the other or out of the byte.
-_RADIX = MAX_GROUND_SET + 1
-if _RADIX**2 > 256:
-    raise RuntimeError(f"MAX_GROUND_SET {MAX_GROUND_SET} overflows a byte of the poly_P walk")
-
-# bytes.translate tables adding 1 and _RADIX to every byte
-_ADD_NONLOOP, _ADD_LOOP = (bytes((b + w) % 256 for b in range(256)) for w in (1, _RADIX))
-
 # _SIGNED_ROWS[k][i] = C(k, i) (-1)^(k-i), the coefficient of t^i in (t-1)^k
 _SIGNED_ROWS = tuple(
     tuple(comb(k, i) * (-1) ** (k - i) for i in range(k + 1))
@@ -209,30 +198,25 @@ _SIGNED_ROWS = tuple(
 def poly_P(matroid: Matroid) -> Polynomial:
     """Subset sum of (x-1)^(c(E)-c(A)) (y-1)^(l(A)) over all subsets A.
 
-    The walk visits every subset once, as one byte of a ``bytes`` of length
-    2^n: byte a holds c(A) + R l(A) for the subset with bitmask a, where
-    R = MAX_GROUND_SET + 1.  It starts from the empty set and doubles once
-    per element e, appending a copy that adds 1 (e not a loop) or R (e a
-    loop) to every byte, so bit e of the index is e's membership.  Counting
-    the bytes groups the subsets by (c(A), l(A)).
+    A term depends on A only through its counts c(A) of non-loops and l(A)
+    of loops, so the sum runs over ``class_orbits`` of the non-loop and the
+    loop class: one subset per pair (c(A), l(A)), weighted by the
+    C(c(E), c(A)) C(l(E), l(A)) subsets it stands for.
 
     The expansion reads the signed coefficients of (t-1)^k from precomputed
-    rows.  A pair seen k times with a = c(E)-c(A) and l = l(A) adds k times
+    rows.  An orbit of weight w with a = c(E)-c(A) and l = l(A) adds w times
     row a to the x-row of l; each x-row times row l gives integer
     coefficients of x^i y^j, and one polynomial is built from them.
     """
     check_size(matroid.n)
     loops = matroid.loops()
-    walk = b"\0"
-    for e in range(matroid.n):
-        walk += walk.translate(_ADD_LOOP if loops >> e & 1 else _ADD_NONLOOP)
-    c_total = matroid.n - loops.bit_count()
+    nonloops = matroid.full_mask & ~loops
+    c_total = nonloops.bit_count()
     x_rows: dict[int, list[int]] = {}
-    for byte, k in Counter(walk).items():
-        l_a, c_a = divmod(byte, _RADIX)
-        x_row = x_rows.setdefault(l_a, [0] * (c_total + 1))
-        for i, r in enumerate(_SIGNED_ROWS[c_total - c_a]):
-            x_row[i] += k * r
+    for a, w in class_orbits((nonloops, loops)):
+        x_row = x_rows.setdefault((a & loops).bit_count(), [0] * (c_total + 1))
+        for i, r in enumerate(_SIGNED_ROWS[c_total - (a & nonloops).bit_count()]):
+            x_row[i] += w * r
     coeffs: dict[tuple[int, int, int], int] = {}
     for l_a, x_row in x_rows.items():
         for j, r in enumerate(_SIGNED_ROWS[l_a]):

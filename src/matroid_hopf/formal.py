@@ -257,7 +257,11 @@ class Monomial(_Graded):
         return not self.factors
 
     def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(sorted(self.factors + other.factors)))
+        # in every legwise and module product: no isinstance test on the way
+        try:
+            return Monomial(tuple(sorted(self.factors + other.factors)))
+        except AttributeError:
+            return NotImplemented
 
     def matroid(self) -> Matroid:
         """A representative matroid: the direct sum of the factors."""
@@ -351,24 +355,28 @@ class ModuleElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
+        if not isinstance(other, ModuleElement):
+            return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return ModuleElement(out)
 
     def __sub__(self, other: ModuleElement) -> ModuleElement:
-        return self + (-other)
+        return self.__add__(-other)
 
     def __neg__(self) -> ModuleElement:
         return ModuleElement({m: -c for m, c in self.terms.items()})
 
     def __rmul__(self, scalar: int) -> ModuleElement:
+        if not isinstance(scalar, int):
+            return NotImplemented
         return ModuleElement({m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> ModuleElement:
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        return module_product(self, other)
+        if isinstance(other, ModuleElement):
+            return module_product(self, other)
+        return self.__rmul__(other)
 
     def render(self) -> str:
         return _render_terms((((m,), c) for m, c in self.terms.items()), module=True)
@@ -435,6 +443,8 @@ class TensorElement:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
     def __add__(self, other: TensorElement) -> TensorElement:
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for legs, c in other.terms.items():
@@ -442,12 +452,14 @@ class TensorElement:
         return TensorElement(self.arity, out)
 
     def __sub__(self, other: TensorElement) -> TensorElement:
-        return self + (-other)
+        return self.__add__(-other)
 
     def __neg__(self) -> TensorElement:
         return TensorElement(self.arity, {t: -c for t, c in self.terms.items()})
 
     def __rmul__(self, scalar: int) -> TensorElement:
+        if not isinstance(scalar, int):
+            return NotImplemented
         return TensorElement(
             self.arity, {t: scalar * c for t, c in self.terms.items()}
         )
@@ -460,6 +472,8 @@ class TensorElement:
 
     def legwise_product(self, other: TensorElement) -> TensorElement:
         """(a (x) b) . (c (x) d) = ac (x) bd, extended bilinearly."""
+        if not isinstance(other, TensorElement):
+            raise TypeError(f"expected a TensorElement, got {type(other).__name__}")
         self._check(other)
         out: dict[tuple[Monomial, ...], int] = {}
         for legs1, c1 in self.terms.items():

@@ -16,17 +16,18 @@ cached apart; it never reads the kernel's entry for the product's own
 class, so multiplicativity checks compare two separate computations.  The
 antipode is cached per monomial.
 
-On a miss the kernel visits one subset per orbit of the group generated
-by the twin transpositions of M (``Matroid.twin_classes``: parallel,
-series, loop and coloop classes, all of U_{r,n}), with the orbit's size as
-its weight.  An automorphism carries A onto an isomorphic pair of legs, so
-every subset of an orbit adds the same term; a twin-free matroid has 2^n
-orbits of one subset each.  No minor is built per subset.  Each leg is a
-minor (M/B)|X, with B = 0 for M|A and M\\A = M|(E - A) and B a basis of A
-for M/A.  ``Monomial.from_matroid`` reads its component masks on M and
-builds one small family per distinct connected block, for both legs, with
-one table of block keys per call.  Each (X, B) leg is computed once per
-call, the class itself being the leg (E, 0), so in the
+On a miss the kernel visits one subset per orbit of the group generated by
+the twin transpositions of M (``Matroid.twin_classes``: parallel, series,
+loop and coloop classes, all of U_{r,n}), with the orbit's size as its
+weight; ``matroid.class_orbits`` lists the orbits, for
+``characters.poly_P`` too.  An automorphism carries A onto an isomorphic
+pair of legs, so every subset of an orbit adds the same term; a twin-free
+matroid has 2^n orbits of one subset each.  No minor is built per subset.
+Each leg is a minor (M/B)|X, with B = 0 for M|A and M\\A = M|(E - A) and B
+a basis of A for M/A.  ``Monomial.from_matroid`` reads its component masks
+on M and builds one small family per distinct connected block, for both
+legs, with one table of block keys per call.  Each (X, B) leg is computed
+once per call, the class itself being the leg (E, 0), so in the
 restriction-deletion case M\\A comes from the same table as the
 restrictions.  The restriction-deletion bialgebra is a commutative Hopf
 algebra, so its antipode S is multiplicative; on a connected class
@@ -38,12 +39,11 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, partial
-from math import comb
 from typing import Literal
 
 from .canonical import IsoKey
-from .formal import Monomial, ModuleElement, TensorElement, module_product
-from .matroid import Matroid, check_size, elements_of
+from .formal import ArityMismatch, Monomial, ModuleElement, TensorElement, module_product
+from .matroid import Matroid, check_size, class_orbits
 
 
 class CoproductMode(Enum):
@@ -51,34 +51,15 @@ class CoproductMode(Enum):
     RD = "rd"
 
 
-def _orbits(matroid: Matroid) -> list[tuple[int, int]]:
-    """One (subset, weight) per orbit of the twin transpositions' group.
-
-    That group is the product of the symmetric groups on the twin classes
-    T_1..T_k, so the orbit of A is determined by the counts |A & T_i|.  Its
-    representative takes the first k_i elements of each T_i, and its
-    weight, the orbit's size, is the product of the C(|T_i|, k_i).
-    """
-    orbits = [(0, 1)]
-    for cls in matroid.twin_classes():
-        size, prefix = cls.bit_count(), 0
-        choices = [(0, 1)]
-        for k, e in enumerate(elements_of(cls), 1):
-            prefix |= 1 << e
-            choices.append((prefix, comb(size, k)))
-        orbits = [(a | p, w * c) for a, w in orbits for p, c in choices]
-    return orbits
-
-
 @cache
 def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
     """The coproduct of the class ``cls``, memoized per (mode, cls).
 
-    The walk runs on the representative M = ``cls.matroid()``.  It goes over
-    ``_orbits(M)``, each representative A with the size of its orbit as
-    weight.  An automorphism g of M maps its independent sets onto
-    themselves, so M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A, M\\A
-    and M/A: every subset of an orbit adds the same pair of leg classes.
+    The walk runs on the representative M = ``cls.matroid()``, over
+    ``class_orbits(M.twin_classes())``: each representative A with the size
+    of its orbit as weight.  An automorphism g of M maps its independent
+    sets onto themselves, so M|g(A), M\\g(A) and M/g(A) are isomorphic to
+    M|A, M\\A and M/A: every subset of an orbit adds the same leg classes.
     Without twins every orbit is one subset of weight 1.
 
     No minor is built per A.  Every leg is a minor (M/base)|mask: M|A and
@@ -104,7 +85,7 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
         return out
 
     terms: dict[tuple[Monomial, ...], int] = {}
-    for a, weight in _orbits(matroid):
+    for a, weight in class_orbits(matroid.twin_classes()):
         base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
         pair = (leg(a, 0), leg(full ^ a, base))
         terms[pair] = terms.get(pair, 0) + weight
@@ -166,7 +147,7 @@ def apply_counit(t: TensorElement, leg: int) -> ModuleElement:
     """The counit applied to leg 0 or 1 of an arity-2 tensor, keeping the
     other leg: (counit (x) Id) for leg 0, (Id (x) counit) for leg 1."""
     if t.arity != 2:
-        raise ValueError("expected an arity-2 tensor")
+        raise ArityMismatch("apply_counit is only defined for arity-2 tensors")
     if leg not in (0, 1):
         raise ValueError(f"leg must be 0 or 1, got {leg!r}")
     out: dict[Monomial, int] = {}

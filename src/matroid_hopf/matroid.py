@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
+from math import comb
 from operator import or_
 
 
@@ -106,6 +107,25 @@ def submasks(mask: int):
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def class_orbits(classes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """One (subset, weight) per orbit of the product of the symmetric
+    groups on the disjoint masks ``classes``, subsets of their union.
+
+    The orbit of A is determined by the counts |A & T_i|.  Its
+    representative takes the first k_i elements of each class T_i, and its
+    weight, the orbit's size, is the product of the C(|T_i|, k_i).
+    """
+    orbits = [(0, 1)]
+    for cls in classes:
+        size, prefix = cls.bit_count(), 0
+        choices = [(0, 1)]
+        for k, e in enumerate(elements_of(cls), 1):
+            prefix |= 1 << e
+            choices.append((prefix, comb(size, k)))
+        orbits = [(a | p, w * c) for a, w in orbits for p, c in choices]
+    return orbits
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ permutations directly (a family that every relabeling fixes is its own
 orbit), the least relabeled family walks all n! relabelings by one
 transposition each (Heap's algorithm), minors relabel element by element, components come from a scan for
 every circuit, the antipode is a sum over ordered set partitions,
-coproduct legs are keyed by the orbit codes of their components, and
-sums render term by term with equal factors grouped by key equality.
+coproduct legs are keyed by the orbit codes of their components,
+sums render term by term with equal factors grouped by key equality, and
+binary matroids come from GF(2) matrices, with U_{2,4} minors found by a
+scan over every contraction and restriction.
 """
 
 from collections import Counter
@@ -185,6 +187,59 @@ def contract_family(masks, n, mask):
         if not s:
             return _relabel_into(kept, rest)
         s = (s - 1) & rest
+
+
+def _gf2_independent(vectors):
+    """Whether GF(2) vectors, as ints, are linearly independent.
+
+    Each vector is xored with the pivot of its top bit until it meets a new
+    top bit, which becomes a pivot, or reduces to zero.
+    """
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+        else:
+            return False
+    return True
+
+
+def binary_matroid_families(n):
+    """Independent families of every standard-form GF(2) matrix [I_r | A].
+
+    Columns are ints whose bits are the r rows: the unit vectors, then each
+    r x (n-r) matrix A column by column.  Up to relabeling, every binary
+    matroid of rank r on n elements has such a representation.
+    """
+    for r in range(n + 1):
+        units = [1 << i for i in range(r)]
+        for code in range(1 << (r * (n - r))):
+            cols = units + [code >> (r * j) & ((1 << r) - 1) for j in range(n - r)]
+            yield [
+                s for s in range(1 << n) if _gf2_independent([cols[e] for e in _elements(s)])
+            ]
+
+
+# the independent family of U_{2,4}: every subset of at most two of 0..3
+U24_FAMILY = [s for s in range(16) if bin(s).count("1") <= 2]
+
+
+def has_u24_minor(masks, n):
+    """Whether some minor (M/C)|X, deleting the rest, is U_{2,4}.
+
+    Every contraction set C is tried with every 4-subset X of what is left.
+    """
+    for c in range(1 << n):
+        rest = n - bin(c).count("1")
+        fam = contract_family(masks, n, c)
+        for keep in range(1 << rest):
+            if bin(keep).count("1") == 4 and restrict_family(fam, keep) == U24_FAMILY:
+                return True
+    return False
 
 
 def circuits(masks, n):

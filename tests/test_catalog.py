@@ -15,6 +15,7 @@ from matroid_hopf import (
     Catalog,
     CatalogTooLarge,
     InputError,
+    Matroid,
     canonical_key,
     cached_catalog,
     enumerate_matroids,
@@ -26,7 +27,7 @@ from matroid_hopf import (
 from matroid_hopf.catalog import KNOWN_COUNTS, MAX_CATALOG_N, cache_path
 from matroid_hopf.verify import run_all
 
-from oracles import unpruned_counts
+from oracles import binary_matroid_families, has_u24_minor, unpruned_counts
 
 # frozen from the pre-build unpruned oracle run
 GOLDEN_CLASSES = {0: 1, 1: 2, 2: 4, 3: 8, 4: 17}
@@ -45,6 +46,18 @@ def test_counts_match_live_oracle(catalogs):
     for n in range(4):
         labeled, classes = unpruned_counts(n)
         assert (labeled, classes) == (catalogs[n].labeled_count, len(catalogs[n]))
+
+
+def test_binary_classes_are_those_without_a_u24_minor(catalogs):
+    # Tutte: a matroid is binary iff it has no U_{2,4} minor; on n <= 4
+    # elements only U_{2,4} itself is left out
+    for n in range(5):
+        binary = {canonical_key(Matroid(n, tuple(fam))) for fam in binary_matroid_families(n)}
+        excluded = {
+            key for key in catalogs[n].classes if not has_u24_minor(key.matroid().independents, n)
+        }
+        assert binary == excluded
+        assert len(binary) == (1, 2, 4, 8, 16)[n]
 
 
 def test_classes_sorted_and_unique(catalogs):

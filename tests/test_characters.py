@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -17,6 +17,7 @@ from matroid_hopf import (
     convolve,
     delta_coloop,
     delta_loop,
+    graphic,
     linear_combination,
     poly_P,
     poly_P_closed_form,
@@ -44,6 +45,18 @@ EXTREMES = [
     pytest.param(uniform(10, 10), id="U10,10"),
     pytest.param(uniform(0, 5).direct_sum(uniform(5, 5)), id="U0,5+U5,5"),
     pytest.param(uniform(2, 4).direct_sum(uniform(0, 3)), id="U2,4+U0,3"),
+]
+
+# loops and non-loops together on 9 and 10 elements, the size cap
+LOOPS_AT_THE_CAP = [
+    pytest.param(graphic(2, [(0, 0)] * 5 + [(0, 1)] * 5), id="5loops+5parallel"),
+    pytest.param(
+        graphic(4, list(combinations(range(4), 2)) + [(0, 1), (2, 2), (3, 3)]),
+        id="M(K4)+edge+2loops",
+    ),
+    pytest.param(
+        uniform(2, 5).direct_sum(uniform(0, 3)).direct_sum(uniform(1, 2)), id="U2,5+U0,3+U1,2"
+    ),
 ]
 
 
@@ -229,6 +242,12 @@ class TestPolyP:
     @pytest.mark.parametrize("m", EXTREMES)
     def test_matches_oracle_at_the_extremes(self, m):
         # the largest binomial coefficients and the most sign changes
+        want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
+        assert poly_P(m).terms == want
+
+    @pytest.mark.parametrize("m", LOOPS_AT_THE_CAP)
+    def test_matches_oracle_with_loops_at_the_cap(self, m):
+        assert m.n in (9, 10) and 0 < m.loops() != m.full_mask
         want = {(i, j, 0): c for (i, j), c in poly_P_terms(m.independents, m.n).items()}
         assert poly_P(m).terms == want
 

@@ -259,13 +259,13 @@ def test_cold_split_walks_the_kernel_once(monkeypatch):
     hopf._class_subset_sum.cache_clear()
     dendriform._halves.cache_clear()
     visited = []
-    orbits = hopf._orbits
+    orbits = hopf.class_orbits
 
-    def counted_orbits(m):
-        out = orbits(m)
+    def counted_orbits(classes):
+        out = orbits(classes)
         visited.extend(out)
         return out
 
-    monkeypatch.setattr(hopf, "_orbits", counted_orbits)
+    monkeypatch.setattr(hopf, "class_orbits", counted_orbits)
     split(CoproductMode.RD, uniform(3, 8))
     assert len(visited) == 9

@@ -232,6 +232,11 @@ class TestMonomial:
                 op()
         assert not hasattr(m, "__dict__")
 
+    def test_product_with_a_foreign_operand_raises_type_error(self):
+        for other in (3, "x", None):
+            with pytest.raises(TypeError):
+                Monomial.unit() * other
+
     def test_rendering(self):
         assert Monomial.unit().render() == "1"
         assert mono(uniform(3, 3)).render() == "U_{1,1}^3"
@@ -299,6 +304,29 @@ class TestModuleElement:
         assert e.render() == "-1*U_{1,2} + 6*U_{1,1}^2"
         assert ModuleElement.zero().render() == "0"
 
+    def test_sum_with_a_foreign_operand_raises_type_error(self):
+        for other in (3, "x", Monomial.unit()):
+            with pytest.raises(TypeError):
+                ModuleElement.one() + other
+            with pytest.raises(TypeError):
+                other + ModuleElement.one()
+
+    def test_difference_with_a_foreign_operand_raises_type_error(self):
+        for other in (3, "x", Monomial.unit()):
+            with pytest.raises(TypeError):
+                ModuleElement.one() - other
+            with pytest.raises(TypeError):
+                other - ModuleElement.one()
+
+    def test_product_with_a_foreign_operand_raises_type_error(self):
+        one = ModuleElement.one()
+        assert one * 2 == 2 * one == ModuleElement({Monomial.unit(): 2})
+        for other in ("x", 1.5, Monomial.unit()):
+            with pytest.raises(TypeError):
+                one * other
+            with pytest.raises(TypeError):
+                other * one
+
 
 class TestTensorElement:
     def test_swap(self):
@@ -324,11 +352,38 @@ class TestTensorElement:
         with pytest.raises(ArityMismatch):
             t2 + t3
 
+    def test_sum_with_a_foreign_operand_raises_type_error(self):
+        for other in (3, "x", ModuleElement.one()):
+            with pytest.raises(TypeError):
+                TensorElement.zero(2) + other
+            with pytest.raises(TypeError):
+                other + TensorElement.zero(2)
+
+    def test_difference_with_a_foreign_operand_raises_type_error(self):
+        for other in (3, "x", ModuleElement.one()):
+            with pytest.raises(TypeError):
+                TensorElement.zero(2) - other
+            with pytest.raises(TypeError):
+                other - TensorElement.zero(2)
+
+    def test_scalar_multiple_must_be_an_int(self):
+        t = TensorElement.from_term((Monomial.unit(), Monomial.unit()))
+        assert 2 * t == TensorElement.from_term((Monomial.unit(), Monomial.unit()), 2)
+        for other in ("x", 1.5):
+            with pytest.raises(TypeError):
+                other * t
+
     def test_legwise_product(self):
         a, b = mono(uniform(1, 1)), mono(uniform(0, 1))
         t1 = TensorElement.from_term((a, b), 2)
         t2 = TensorElement.from_term((b, a), 3)
         assert t1.legwise_product(t2) == TensorElement.from_term((a * b, b * a), 6)
+
+    def test_legwise_product_with_a_foreign_operand_raises_type_error(self):
+        t = TensorElement.zero(2)
+        for other in (3, ModuleElement.one()):
+            with pytest.raises(TypeError, match="^expected a TensorElement, got "):
+                t.legwise_product(other)
 
     def test_expand_leg(self):
         one = Monomial.unit()

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 
 from matroid_hopf import (
+    ArityMismatch,
     CoproductMode,
     GroundSetTooLarge,
     ModuleElement,
@@ -27,6 +28,7 @@ from matroid_hopf.hopf import (
     apply_counit,
     convolve_antipode_identity,
 )
+from matroid_hopf.matroid import class_orbits
 
 from oracles import (
     antipode_rd_terms,
@@ -160,6 +162,13 @@ class TestCounit:
         t = coproduct(CoproductMode.RD, uniform(1, 2))
         with pytest.raises(ValueError, match=f"^leg must be 0 or 1, got {leg}$"):
             apply_counit(t, leg)
+
+    def test_rejects_an_arity_three_tensor(self):
+        t = iterated_coproduct(CoproductMode.RD, uniform(1, 2), "left")
+        assert t.arity == 3
+        for leg in (0, 1):
+            with pytest.raises(ArityMismatch, match="only defined for arity-2 tensors$"):
+                apply_counit(t, leg)
 
 
 class TestIteratedCoproduct:
@@ -325,7 +334,7 @@ def test_twin_orbit_sums_match_subset_oracle(m):
 def test_orbits_cover_each_count_vector_once(m, sizes):
     classes = m.twin_classes()
     assert sorted(c.bit_count() for c in classes) == sorted(sizes)
-    orbits = hopf._orbits(m)
+    orbits = class_orbits(classes)
     assert sum(w for _, w in orbits) == 1 << m.n
     assert len(orbits) == prod(size + 1 for size in sizes)
     counts = {tuple((a & c).bit_count() for c in classes) for a, _ in orbits}
@@ -339,10 +348,10 @@ def test_cold_coproduct_visits_one_subset_per_orbit(monkeypatch):
     # legs when every subset is visited)
     hopf._class_subset_sum.cache_clear()
     visited, built = [], []
-    orbits, from_matroid = hopf._orbits, Monomial.from_matroid
+    orbits, from_matroid = hopf.class_orbits, Monomial.from_matroid
 
-    def counted_orbits(m):
-        out = orbits(m)
+    def counted_orbits(classes):
+        out = orbits(classes)
         visited.extend(out)
         return out
 
@@ -350,7 +359,7 @@ def test_cold_coproduct_visits_one_subset_per_orbit(monkeypatch):
         built.append(args)
         return from_matroid(*args)
 
-    monkeypatch.setattr(hopf, "_orbits", counted_orbits)
+    monkeypatch.setattr(hopf, "class_orbits", counted_orbits)
     monkeypatch.setattr(Monomial, "from_matroid", staticmethod(counted_legs))
     coproduct(CoproductMode.RD, uniform(3, 8))
     assert len(visited) == 9
