@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from itertools import permutations
 from math import comb
 from typing import NamedTuple
 
@@ -68,6 +67,8 @@ class IsoKey(NamedTuple):
     n: int
     rank: int
     family: tuple[int, ...]
+    # a key is not a number: no tuple concatenation or repetition
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def matroid(self) -> Matroid:
         return Matroid(self.n, self.family)
@@ -360,8 +361,3 @@ def _orbit_meets(
                 orbit |= 1 << y
                 stack.append(y)
     return False
-
-
-def all_permutation_key(matroid: Matroid) -> tuple[int, ...]:
-    """Reference canonical family via plain minimum over all n! relabelings."""
-    return min(matroid.relabel(p).independents for p in permutations(range(matroid.n)))

@@ -49,7 +49,7 @@ class Catalog:
 
 
 def enumerate_matroids(n: int) -> Catalog:
-    """Complete, duplicate-free catalog for ground-set size n (0 <= n <= 4)."""
+    """Complete, duplicate-free catalog on n elements, 0 <= n <= MAX_CATALOG_N."""
     if n < 0:
         raise InputError(f"a catalog needs a ground-set size of at least 0, got {n}")
     if n > MAX_CATALOG_N:

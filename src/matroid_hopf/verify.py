@@ -30,7 +30,7 @@ from functools import cache
 from itertools import permutations
 from pathlib import Path
 
-from .canonical import all_permutation_key, canonical_key
+from .canonical import _min_relabeling, canonical_key
 from .catalog import MAX_CATALOG_N, CatalogTooLarge, cached_catalog
 from .characters import (
     alpha,
@@ -198,21 +198,24 @@ def check_dual_involution(reps) -> CheckResult:
 def check_canonical_oracle(reps) -> CheckResult:
     """Pruned canonical search equals the all-permutations minimum.
 
-    Keying a class runs the search, unless a memo already holds the key.
-    Its relabelings then miss the memo and take that key through the
-    isomorphism lookup of ``canonical_key``, so the relabel loop checks the
-    lookup against the search.  The detail text is unchanged, since
-    ``perfbench/reference.json`` pins it.
+    One pass relabels each class once per permutation.  Its least family,
+    a plain minimum independent of the search, must be the class's key,
+    and the search must find it from the greatest family too: a loaded
+    catalog's representative is canonical already.  The relabelings miss
+    the memo and take the key through the isomorphism lookup of
+    ``canonical_key``, so the relabel check tests the lookup against the
+    search.
     """
 
     def cases():
         for m in reps:
-            if canonical_key(m).family != all_permutation_key(m):
+            key = canonical_key(m)
+            copies = [m.relabel(perm) for perm in permutations(range(m.n))]
+            families = [c.independents for c in copies]
+            least = min(families)
+            if key.family != least or _min_relabeling(m.n, max(families)) != least:
                 yield f"fails on {m}"
-            bad = any(
-                canonical_key(m.relabel(perm)) != canonical_key(m)
-                for perm in permutations(range(m.n))
-            )
+            bad = any(canonical_key(c) != key for c in copies)
             yield f"relabel fails on {m}" if bad else None
 
     return _run_suite("canonical-oracle", "classes, all relabelings", cases())

@@ -1,20 +1,21 @@
 """Independent brute-force references used by tests.
 
-These deliberately avoid the package's own code paths: families are
-encoded as bitsets over the power set, orbits are taken over all
-permutations directly (a family that every relabeling fixes is its own
-orbit), the least relabeled family walks all n! relabelings by one
-transposition each (Heap's algorithm), minors relabel element by element, components come from a scan for
-every circuit, the antipode is a sum over ordered set partitions,
-coproduct legs are keyed by the orbit codes of their components,
-sums render term by term with equal factors grouped by key equality, and
+These deliberately avoid the package's own code paths: the catalog scan
+encodes families as bitsets over the power set, and one all-relabelings
+minimum stands for the canonical form.  That minimum is the least sorted
+family over all n! relabelings, walked by one transposition each (Heap's
+algorithm), except that a family every relabeling fixes is its own.
+Minors relabel element by element, components come from a scan for every
+circuit, the antipode is a sum over ordered set partitions, coproduct legs
+are keyed by the least relabeled families of their components, sums
+render term by term with equal factors grouped by key equality, and
 binary matroids come from GF(2) matrices, with U_{2,4} minors found by a
 scan over every contraction and restriction.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import groupby
 from math import comb
 
 
@@ -59,40 +60,21 @@ def permuted_family(masks, perm):
     return out
 
 
-def orbit_code(masks, n):
-    """Minimal power-set-bitset encoding of the family over all relabelings.
-
-    A family that holds every k-subset for each size k it meets, such as a
-    uniform matroid, is fixed by every relabeling and is its own code.
-    """
-    fam = set(masks)
-    sizes = Counter(bin(s).count("1") for s in fam)
-    if all(count == comb(n, k) for k, count in sizes.items()):
-        return sum(1 << s for s in fam)
-    return all_relabelings_code(masks, n)
-
-
-def all_relabelings_code(masks, n):
-    """``orbit_code`` by the minimum over all n! relabelings."""
-    best = None
-    for perm in permutations(range(n)):
-        code = 0
-        for t in permuted_family(masks, perm):
-            code |= 1 << t
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def least_relabeled_family(masks, n):
+def least_relabeled_family(masks, n, shortcut=True):
     """The least sorted family over all n! relabelings, as a tuple.
 
-    Heap's algorithm reaches every relabeling from the previous one by one
-    transposition of two labels i and j, so each step swaps bits i and j in
-    the masks that hold exactly one of them.
+    A family that holds every k-subset for each size k it meets, such as a
+    uniform matroid, is fixed by every relabeling and is its own minimum;
+    ``shortcut=False`` walks all relabelings of it too.  Heap's algorithm
+    reaches every relabeling from the previous one by one transposition of
+    two labels i and j, so each step swaps bits i and j in the masks that
+    hold exactly one of them.
     """
     fam = list(masks)
     best = sorted(fam)
+    sizes = Counter(bin(s).count("1") for s in fam)
+    if shortcut and all(count == comb(n, k) for k, count in sizes.items()):
+        return tuple(best)
     count = [0] * n
     i = 1
     while i < n:
@@ -119,7 +101,7 @@ def unpruned_counts(n):
         if 0 not in masks or not family_is_matroid(masks, n):
             continue
         labeled += 1
-        reps.add(orbit_code(masks, n))
+        reps.add(least_relabeled_family(masks, n))
     return labeled, len(reps)
 
 
@@ -288,7 +270,8 @@ def component_blocks(masks, n):
 
 @lru_cache(maxsize=None)
 def class_code(masks, n):
-    """Isomorphism class as the sorted (size, orbit_code) of each component.
+    """Isomorphism class as the sorted (size, least relabeled family) of
+    each component.
 
     ``masks`` is a tuple; codes are memoized, since the coproduct oracle
     meets the same leg families again and again.
@@ -296,7 +279,7 @@ def class_code(masks, n):
     out = []
     for block in component_blocks(masks, n):
         size = bin(block).count("1")
-        out.append((size, orbit_code(restrict_family(masks, block), size)))
+        out.append((size, least_relabeled_family(restrict_family(masks, block), size)))
     return tuple(sorted(out))
 
 
@@ -352,11 +335,11 @@ def ordered_set_partitions(mask):
 
 
 def antipode_rd_terms(masks, n):
-    """RD antipode by Takeuchi's formula, keyed by ``orbit_code``.
+    """RD antipode by Takeuchi's formula, keyed by ``least_relabeled_family``.
 
     S(M) is the sum over ordered set partitions (A1, ..., Ak) of E of
     (-1)^k M|A1 ... M|Ak.  The product is the direct sum, so each term is
-    keyed by the orbit code of the direct sum of the restrictions.
+    keyed by the least relabeled family of the direct sum of the restrictions.
     """
     codes = {}
     out = {}
@@ -368,7 +351,7 @@ def antipode_rd_terms(masks, n):
             size += bin(block).count("1")
         fam = tuple(sorted(fam))
         if fam not in codes:
-            codes[fam] = orbit_code(fam, n)
+            codes[fam] = least_relabeled_family(fam, n)
         out[codes[fam]] = out.get(codes[fam], 0) + (-1) ** len(blocks)
     return {code: c for code, c in out.items() if c}
 

@@ -19,14 +19,9 @@ from matroid_hopf import (
     validate,
 )
 from matroid_hopf import canonical, hopf
-from matroid_hopf.canonical import _min_relabeling, all_permutation_key
+from matroid_hopf.canonical import _min_relabeling
 
-from oracles import (
-    all_relabelings_code,
-    least_relabeled_family,
-    orbit_code,
-    permuted_family,
-)
+from oracles import least_relabeled_family, permuted_family
 
 
 def test_swap_symmetry():
@@ -75,25 +70,22 @@ def test_five_element_relabelings():
 
 
 def test_pruned_equals_all_permutation_oracle(catalog_reps):
+    # and by the oracle no two catalog classes are isomorphic
+    families = set()
     for m in catalog_reps:
-        assert canonical_key(m).family == all_permutation_key(m)
+        family = least_relabeled_family(m.independents, m.n)
+        assert canonical_key(m).family == family
+        families.add((m.n, family))
+    assert len(families) == len(catalog_reps)
 
 
-def test_matches_independent_orbit_oracle(catalog_reps):
-    # same partition into classes as the bitset-orbit encoding
-    seen = {}
-    for m in catalog_reps:
-        code = (m.n, orbit_code(list(m.independents), m.n))
-        key = canonical_key(m)
-        assert seen.setdefault(code, key) == key
-
-
-def test_orbit_code_shortcut_matches_all_relabelings():
+def test_oracle_shortcut_matches_all_relabelings():
     # every U_{r,n} takes the oracle's shortcut for relabeling-fixed families
     for n in range(7):
         for r in range(n + 1):
             masks = [s for s in range(1 << n) if bin(s).count("1") <= r]
-            assert orbit_code(masks, n) == all_relabelings_code(masks, n)
+            full = least_relabeled_family(masks, n, shortcut=False)
+            assert least_relabeled_family(masks, n) == full == tuple(masks)
 
 
 K4_EDGES = list(combinations(range(4), 2))
@@ -124,14 +116,6 @@ ORACLE_INPUTS = {
 def oracle_family(name):
     m = ORACLE_INPUTS[name]
     return least_relabeled_family(m.independents, m.n)
-
-
-@pytest.mark.parametrize(
-    "name", sorted(name for name, m in ORACLE_INPUTS.items() if m.n <= 7)
-)
-def test_all_permutation_key_matches_transposition_oracle(name):
-    # the package's own n! reference against the test oracle (8! is slow)
-    assert all_permutation_key(ORACLE_INPUTS[name]) == oracle_family(name)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
@@ -244,7 +228,7 @@ def test_lookup_rejects_non_isomorphic_families(
         monkeypatch.setattr(canonical, "_profiles", lambda n, family: ((),) * n)
     keys = []
     for m in catalog_reps:
-        expected = all_permutation_key(m)
+        expected = least_relabeled_family(m.independents, m.n)
         for candidate in (_shifted(m), m):
             assert canonical_key(candidate).family == expected
         keys.append(canonical_key(m))
@@ -264,7 +248,7 @@ def _family_digest(key) -> str:
 
 
 # (input, rank, SHA-256 of the comma-joined canonical family).  At n >= 9
-# all_permutation_key is too slow to serve as the gate, so these pin the keys.
+# the all-relabelings oracle is too slow to serve as the gate, so these pin the keys.
 GOLDEN_KEYS = {
     "M(K5)": (
         graphic(5, K5_EDGES),
@@ -444,7 +428,7 @@ def test_concurrent_calls_agree(monkeypatch, catalog_reps):
         sys.setswitchinterval(interval)
     for m, key in zip(targets, keys):
         assert key == canonical_key(m)
-        assert key.family == all_permutation_key(m)
+        assert key.family == least_relabeled_family(m.independents, m.n)
 
 
 def test_ground_set_limit():

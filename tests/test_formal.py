@@ -232,6 +232,19 @@ class TestMonomial:
                 op()
         assert not hasattr(m, "__dict__")
 
+    def test_factor_keys_refuse_tuple_arithmetic(self):
+        # a key is a tuple underneath, but neither sums nor repeats
+        key = canonical_key(uniform(1, 2))
+        for op in (
+            lambda: key + key,
+            lambda: (key,) + key,
+            lambda: key + (1,),
+            lambda: 2 * key,
+            lambda: key * 2,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
     def test_product_with_a_foreign_operand_raises_type_error(self):
         for other in (3, "x", None):
             with pytest.raises(TypeError):

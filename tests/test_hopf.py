@@ -33,7 +33,7 @@ from matroid_hopf.matroid import class_orbits
 from oracles import (
     antipode_rd_terms,
     coproduct_terms,
-    orbit_code,
+    least_relabeled_family,
     ordered_set_partitions,
     tensor_codes,
 )
@@ -425,7 +425,7 @@ class TestAntipode:
         for m in catalog_reps + [uniform(2, 5)] + sums:
             got = {}
             for term, c in antipode_rd(canonical_key(m)).terms.items():
-                code = orbit_code(term.matroid().independents, m.n)
+                code = least_relabeled_family(term.matroid().independents, m.n)
                 got[code] = got.get(code, 0) + c
             assert got == antipode_rd_terms(m.independents, m.n)
 

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import matroid_hopf
 from matroid_hopf import (
     CatalogTooLarge,
     InputError,
@@ -9,6 +16,7 @@ from matroid_hopf import (
     ModuleElement,
     Monomial,
     TensorElement,
+    save_cache,
     uniform,
     verify,
 )
@@ -44,8 +52,22 @@ GOLDEN_N4 = [
 ]
 
 
+@pytest.fixture(scope="module")
+def saved_catalogs(tmp_path_factory, catalogs):
+    """A directory holding ``save_cache`` files of the n <= 4 catalogs."""
+    cache_dir = tmp_path_factory.mktemp("catalogs")
+    for n in range(5):
+        save_cache(catalogs[n], cache_dir)
+    return cache_dir
+
+
 def test_rows_at_four_elements(tmp_path):
     assert run_all(max_n=4, cache_dir=tmp_path) == [CheckResult(*row) for row in GOLDEN_N4]
+
+
+def test_rows_at_four_elements_on_saved_catalogs(saved_catalogs):
+    # the loaded path, which the benchmark times, gives the same rows
+    assert run_all(max_n=4, cache_dir=saved_catalogs) == [CheckResult(*row) for row in GOLDEN_N4]
 
 
 def test_suite_outcomes_at_three_elements(tmp_path):
@@ -179,7 +201,7 @@ FAILURES = [
     ("check_dual_involution", "dual-involution", _replace(Matroid, "dual", _constant(U01)),
      f"fails on {E}"),
     ("check_canonical_oracle", "canonical-oracle",
-     _replace(verify, "all_permutation_key", _constant(())),
+     _replace(verify, "canonical_key", lambda real: lambda m: real(m)._replace(family=())),
      f"fails on {E}"),
     ("check_canonical_oracle", "canonical-oracle", _replace(Matroid, "relabel", _constant(U01)),
      f"relabel fails on {E}"),
@@ -278,6 +300,51 @@ def test_rank_lemmas_rank_each_subset_once(monkeypatch, catalog_reps):
     assert verify.check_rank_lemmas(catalog_reps).ok
     assert set(calls) == _every_mask(catalog_reps, "rank")
     assert set(calls.values()) == {1}
+
+
+def test_canonical_oracle_relabels_each_class_once_per_permutation(monkeypatch, catalog_reps):
+    calls = _count_calls(monkeypatch, catalog_reps, "relabel")
+    assert verify.check_canonical_oracle(catalog_reps).ok
+    # once per (class, permutation): 1 + 2 + 4 * 2 + 8 * 6 + 17 * 24
+    every = {
+        (i, "relabel", (p,)) for i, m in enumerate(catalog_reps) for p in permutations(range(m.n))
+    }
+    assert set(calls) == every
+    assert set(calls.values()) == {1}
+    assert len(every) == 467
+
+
+# run_all with a canonical search that returns its input unchanged, in a
+# child whose canonical memos start cold and stay apart from this process
+SEARCH_RETURNS_ITS_INPUT = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+    from matroid_hopf import canonical, verify
+
+    def unchanged(n, family):
+        return family
+
+    canonical._min_relabeling = verify._min_relabeling = unchanged
+    for row in verify.run_all(max_n=4, cache_dir=Path(sys.argv[1])):
+        print(row)
+    """
+)
+
+
+def test_canonical_oracle_catches_a_search_that_keeps_its_input(saved_catalogs):
+    # a loaded representative is its canonical family and its relabelings are
+    # keyed by the lookup, so only the search on the greatest relabeling fails
+    child = subprocess.run(
+        [sys.executable, "-c", SEARCH_RETURNS_ITS_INPUT, str(saved_catalogs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
+    )
+    assert child.returncode == 0, child.stderr
+    want = CheckResult("canonical-oracle", False, "fails on Matroid(n=2, |I|=2)")
+    assert str(want) in child.stdout.splitlines()
 
 
 def test_minor_lemmas_build_each_minor_of_a_class_once(monkeypatch, catalog_reps):
