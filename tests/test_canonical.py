@@ -70,13 +70,19 @@ def test_five_element_relabelings():
 
 
 def test_pruned_equals_all_permutation_oracle(catalog_reps):
-    # and by the oracle no two catalog classes are isomorphic
-    families = set()
     for m in catalog_reps:
-        family = least_relabeled_family(m.independents, m.n)
-        assert canonical_key(m).family == family
-        families.add((m.n, family))
-    assert len(families) == len(catalog_reps)
+        assert canonical_key(m).family == least_relabeled_family(m.independents, m.n)
+
+
+def test_matches_independent_orbit_oracle(catalog_reps):
+    # same partition into classes as the all-relabelings oracle, and by the
+    # oracle no two catalog classes are isomorphic
+    seen = {}
+    for m in catalog_reps:
+        code = (m.n, least_relabeled_family(m.independents, m.n))
+        key = canonical_key(m)
+        assert seen.setdefault(code, key) == key
+    assert len(seen) == len(set(seen.values())) == len(catalog_reps)
 
 
 def test_oracle_shortcut_matches_all_relabelings():
