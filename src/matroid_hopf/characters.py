@@ -5,6 +5,12 @@ infinitesimal characters detect a single loop and a single coloop; scaled
 combinations of them exponentiate (by a recursion on the degree) to genuine
 characters, and a two-factor convolution of such exponentials recovers the
 subset-sum polynomial invariant up to a power of s.
+
+A functional records its support when its factory fixes it.  The
+exponential of one supported on one-element classes reads only the
+coproduct terms whose right leg has one element,
+``hopf.single_deletion_terms``: every other term is multiplied by a value
+of the functional outside its support, which is zero.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from functools import cache
 from math import comb
 
 from .formal import Monomial, Polynomial, ONE, S, X, Y, ZERO
-from .hopf import CoproductMode, coproduct_monomial
+from .hopf import CoproductMode, coproduct_monomial, single_deletion_terms
 from .matroid import MAX_GROUND_SET, Matroid, check_size, class_orbits, uniform
 
 
@@ -29,12 +35,22 @@ class LinearFunctional:
     the degree leave them integral.  The memo is a dict on the instance, not
     a ``functools.cache`` wrapper, so that ``__call__`` stays a plain method
     that ``perfbench/tracer.py`` can wrap by name.
+
+    ``support`` is a set of monomials outside which the functional vanishes,
+    or None when it is not known.
     """
 
-    def __init__(self, rule, name: str = "", integer_valued: bool = False):
+    def __init__(
+        self,
+        rule,
+        name: str = "",
+        integer_valued: bool = False,
+        support: frozenset[Monomial] | None = None,
+    ):
         self._rule = rule
         self.name = name
         self.integer_valued = integer_valued
+        self.support = support
         self._memo: dict[Monomial, Polynomial] = {}
 
     def __call__(self, m: Monomial) -> Polynomial:
@@ -57,7 +73,7 @@ def indicator(key_matroid: Matroid, name: str) -> LinearFunctional:
     def rule(m: Monomial) -> Polynomial:
         return ONE if m == target else ZERO
 
-    return LinearFunctional(rule, name, integer_valued=True)
+    return LinearFunctional(rule, name, integer_valued=True, support=frozenset([target]))
 
 
 @cache
@@ -84,7 +100,10 @@ def linear_combination(parts: list[tuple[Polynomial, LinearFunctional]], name: s
     integer = all(
         f.integer_valued and c.has_integer_coefficients() for c, f in parts
     )
-    return LinearFunctional(rule, name, integer_valued=integer)
+    support = None
+    if all(f.support is not None for _, f in parts):
+        support = frozenset().union(*[f.support for _, f in parts])
+    return LinearFunctional(rule, name, integer_valued=integer, support=support)
 
 
 def conv_unit() -> LinearFunctional:
@@ -93,7 +112,9 @@ def conv_unit() -> LinearFunctional:
     def rule(m: Monomial) -> Polynomial:
         return ONE if m.is_unit else ZERO
 
-    return LinearFunctional(rule, "unit", integer_valued=True)
+    return LinearFunctional(
+        rule, "unit", integer_valued=True, support=frozenset([Monomial.unit()])
+    )
 
 
 def convolve(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
@@ -118,19 +139,30 @@ def conv_exp(f: LinearFunctional) -> LinearFunctional:
     coproduct preserves degree.  Hence D(E) = E * D(f): E(1) = 1 and
     deg(m) E(m) = sum c deg(b) E(a) f(b) over the terms c a (x) b of the
     coproduct of m.  Terms with f(b) = 0 are skipped; they include b = 1, so
-    every a left has lower degree than m.  Exact rational arithmetic; when
-    the input is integer valued the result must be too, and this is checked.
+    every a left has lower degree than m.  When f's support is known and
+    holds only one-element classes, as for every combination of the loop
+    and coloop characters, f(b) is zero unless b has one element, and the
+    sum reads ``single_deletion_terms(m)`` instead of the whole coproduct;
+    any other f, such as one supported on U_{1,2} or a convolution, reads
+    every term.  Exact rational arithmetic; when the input is integer valued
+    the result must be too, and this is checked.
     """
     if f(Monomial.unit()) != ZERO:
         raise NotInfinitesimal(
             "convolution exponential needs a functional vanishing on the unit"
         )
 
+    one_element = f.support is not None and all(b.degree == 1 for b in f.support)
+
     def rule(m: Monomial) -> Polynomial:
         if m.is_unit:
             return ONE
+        if one_element:
+            tensor = single_deletion_terms(m)
+        else:
+            tensor = coproduct_monomial(CoproductMode.RD, m)
         out = ZERO
-        for (a, b), c in coproduct_monomial(CoproductMode.RD, m).terms.items():
+        for (a, b), c in tensor.terms.items():
             fb = f(b)
             if fb:
                 out = out + c * b.degree * (exp(a) * fb)

@@ -6,13 +6,16 @@ Matroids come from --input (JSON file with keys "n" and "independent") or
 catalogs afresh on every run and reads no file.  Output is deterministic;
 --json mirrors each text line as one JSON object.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error:
-``main`` catches every bad input as the library's one ``InputError``.
+``main`` catches every bad input as the library's one ``InputError``.  A
+reader that closes standard output early, as ``| head -n 1`` does, ends the
+command with 0 and nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -171,10 +174,20 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        # a buffered stdout meets a closed pipe here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device so that the
+        # interpreter's own flush at exit does not fail on the pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 def _dispatch(args) -> int:

@@ -33,6 +33,11 @@ restrictions.  The restriction-deletion bialgebra is a commutative Hopf
 algebra, so its antipode S is multiplicative; on a connected class
 S(m) = -sum c S(a) b over the terms c a (x) b of the memoized monomial
 coproduct of m with a != m.
+
+``single_deletion_terms`` keeps, memoized apart, only the terms whose right
+leg has one element: c (M\\e) (x) (M|e), one per twin class.  The
+exponential of a functional supported on the single loop and the single
+coloop reads nothing else, so it never builds a class's whole kernel.
 """
 
 from __future__ import annotations
@@ -89,6 +94,41 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
         base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
         pair = (leg(a, 0), leg(full ^ a, base))
         terms[pair] = terms.get(pair, 0) + weight
+    return TensorElement(2, terms)
+
+
+@cache
+def single_deletion_terms(m: Monomial) -> TensorElement:
+    """The terms c a (x) b of the restriction-deletion coproduct of m whose
+    right leg b has one element, memoized per monomial.
+
+    For a class, b = M|e is a single loop or coloop and a = M\\e.  These
+    are the orbits of ``class_orbits(M.twin_classes())`` with a one-element
+    complement: one per twin class T, whose last element is deleted, with
+    weight |T|.  Both legs come from ``Monomial.from_matroid`` as in the
+    kernel, which is not built.  For a product the legwise product puts the
+    one element in exactly one factor: each factor position contributes the
+    factor's terms with the other factors multiplied onto the left leg.
+    """
+    if len(m.factors) != 1:
+        terms: dict[tuple[Monomial, ...], int] = {}
+        for i, key in enumerate(m.factors):
+            rest = Monomial(m.factors[:i] + m.factors[i + 1 :])
+            for (a, b), c in single_deletion_terms(Monomial((key,))).terms.items():
+                pair = (a * rest, b)
+                terms[pair] = terms.get(pair, 0) + c
+        return TensorElement(2, terms)
+    matroid = m.matroid()
+    full = matroid.full_mask
+    block_keys: dict[tuple[int, int], IsoKey] = {}
+    terms = {}
+    for cls in matroid.twin_classes():
+        last = 1 << (cls.bit_length() - 1)
+        pair = (
+            Monomial.from_matroid(matroid, full ^ last, 0, block_keys),
+            Monomial.from_matroid(matroid, last, 0, block_keys),
+        )
+        terms[pair] = terms.get(pair, 0) + cls.bit_count()
     return TensorElement(2, terms)
 
 

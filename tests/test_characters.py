@@ -94,6 +94,20 @@ class TestConvolve:
         assert delta_coloop()(mono(uniform(2, 2))) == ZERO
 
 
+class TestSupport:
+    def test_factories_record_what_they_fix(self):
+        loop, coloop = mono(uniform(0, 1)), mono(uniform(1, 1))
+        assert delta_loop().support == {loop}
+        assert conv_unit().support == {Monomial.unit()}
+        both = linear_combination([(X, delta_coloop()), (Y, delta_loop())])
+        assert both.support == {loop, coloop}
+        # unknown: a convolution, anything built on one, a bare functional
+        product = convolve(delta_loop(), delta_coloop())
+        assert product.support is None
+        assert linear_combination([(X, delta_coloop()), (ONE, product)]).support is None
+        assert LinearFunctional(lambda m: ZERO).support is None
+
+
 class TestConvExp:
     def test_unit_value(self):
         f = conv_exp(linear_combination([(X, delta_coloop()), (Y, delta_loop())]))
@@ -139,7 +153,9 @@ class TestConvExp:
             mono(a) * mono(b) for a in catalog_reps for b in catalog_reps if a.n + b.n <= 6
         ]
         # every functional the package exponentiates (alpha's four factors and
-        # the closed-form check's), plus one supported in degree 2
+        # the closed-form check's), which read only the single-deletion terms;
+        # then the full coproduct: one supported in degree 2, one supported on
+        # a coloop and in degree 2, and one of unknown support
         functionals = [
             linear_combination([(coloop, delta_coloop()), (loop, delta_loop())])
             for coloop, loop in [
@@ -150,7 +166,12 @@ class TestConvExp:
                 (X, Y),
             ]
         ]
-        functionals.append(indicator(uniform(1, 2), "delta_u12"))
+        delta_u12 = indicator(uniform(1, 2), "delta_u12")
+        functionals += [
+            delta_u12,
+            linear_combination([(ONE, delta_coloop()), (ONE, delta_u12)]),
+            convolve(delta_loop(), delta_coloop()),
+        ]
         for f in functionals:
             powers = [conv_unit()]
             while len(powers) <= 6:

@@ -465,3 +465,26 @@ class TestEntryPoint:
         assert child.returncode == 2
         assert child.stdout == ""
         assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("first_line", [True, False], ids=["after-line-1", "at-start"])
+    def test_closed_stdout_ends_quietly(self, unbuffered, first_line):
+        # like `verify --json | head -n 1`; closed at the start, the child's
+        # first write meets the closed pipe whether stdout is buffered or not
+        child = subprocess.Popen(
+            [sys.executable, "-m", "matroid_hopf.cli", "verify", "--max-n", "2", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1]),
+                "PYTHONUNBUFFERED": unbuffered,
+            },
+        )
+        if first_line:
+            row = json.loads(child.stdout.readline())
+            assert row["check"] == "matroid-axioms"
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=120), stderr) == (0, b"")

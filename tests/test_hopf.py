@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, permutations
 from math import prod
+from pathlib import Path
 
 import pytest
 
+import matroid_hopf
 from matroid_hopf import (
     ArityMismatch,
     CoproductMode,
@@ -27,6 +33,7 @@ from matroid_hopf import dendriform, hopf
 from matroid_hopf.hopf import (
     apply_counit,
     convolve_antipode_identity,
+    single_deletion_terms,
 )
 from matroid_hopf.matroid import class_orbits
 
@@ -364,6 +371,52 @@ def test_cold_coproduct_visits_one_subset_per_orbit(monkeypatch):
     coproduct(CoproductMode.RD, uniform(3, 8))
     assert len(visited) == 9
     assert len(built) == 16
+
+
+K4_EDGES = list(combinations(range(4), 2))
+
+
+def _one_element_part(t):
+    """The terms of an arity-2 tensor whose right leg has one element."""
+    return TensorElement(2, {legs: c for legs, c in t.terms.items() if legs[1].degree == 1})
+
+
+class TestSingleDeletionTerms:
+    def test_matches_kernel(self, catalog_reps):
+        k4 = graphic(4, K4_EDGES)
+        cases = [mono(m) for m in catalog_reps]
+        cases += [mono(k4), mono(k4.dual()), mono(graphic(4, K4_EDGES + [(0, 1), (2, 2)]))]
+        products = [
+            mono(a) * mono(b) for a in catalog_reps for b in catalog_reps if a.n + b.n <= 6
+        ]
+        # repeated factors and a loop beside a coloop are among the products
+        coloop, loop = mono(uniform(1, 1)), mono(uniform(0, 1))
+        assert coloop * coloop in products and loop * coloop in products
+        for m in cases + products:
+            want = _one_element_part(coproduct_monomial(CoproductMode.RD, m))
+            assert single_deletion_terms(m) == want, m
+
+    def test_cold_alpha_builds_only_its_own_kernel(self):
+        # alpha convolves two exponentials along the coproduct of the query's
+        # class: that one kernel is built, and the exponentials read only
+        # single-deletion terms, never another class's kernel or a product's
+        script = textwrap.dedent(
+            """
+            from matroid_hopf import alpha, graphic, hopf
+            alpha(graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]))
+            print(hopf._class_subset_sum.cache_info().misses,
+                  hopf._coproduct_product.cache_info().misses)
+            """
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["1", "0"]
 
 
 class TestAntipode:
