@@ -26,7 +26,7 @@ from .characters import alpha, poly_P
 from .dendriform import split
 from .formal import Monomial
 from .hopf import CoproductMode, antipode_rd, coproduct
-from .matroid import InputError, MalformedRecord, Matroid, check_size, graphic, uniform
+from .matroid import InputError, MalformedRecord, Matroid, graphic, uniform
 from .verify import run_all
 
 _UNIFORM_RE = re.compile(r"^uniform\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
@@ -47,7 +47,6 @@ def parse_expression(text: str) -> Matroid:
     m = _UNIFORM_RE.match(text)
     if m:
         n = _int(m.group(2))
-        check_size(n)
         return uniform(_int(m.group(1)), n)
     m = _GRAPHIC_RE.match(text)
     if m:

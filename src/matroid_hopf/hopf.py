@@ -35,9 +35,10 @@ S(m) = -sum c S(a) b over the terms c a (x) b of the memoized monomial
 coproduct of m with a != m.
 
 ``single_deletion_terms`` keeps, memoized apart, only the terms whose right
-leg has one element: c (M\\e) (x) (M|e), one per twin class.  The
-exponential of a functional supported on the single loop and the single
-coloop reads nothing else, so it never builds a class's whole kernel.
+leg has one element: c (M\\e) (x) (M|e), one per twin class, from the
+kernel's walk over those orbits alone.  The exponential of a functional
+supported on the single loop and the single coloop reads nothing else, so it
+never builds a class's whole kernel.
 """
 
 from __future__ import annotations
@@ -65,20 +66,21 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
     of its orbit as weight.  An automorphism g of M maps its independent
     sets onto themselves, so M|g(A), M\\g(A) and M/g(A) are isomorphic to
     M|A, M\\A and M/A: every subset of an orbit adds the same leg classes.
-    Without twins every orbit is one subset of weight 1.
-
-    No minor is built per A.  Every leg is a minor (M/base)|mask: M|A and
-    M\\A = M|(E - A) with base = 0, and M/A = (M/base)|(E - A) with base
-    the greedy basis of A.  ``Monomial.from_matroid(M, mask, base,
-    block_keys)`` reads its component masks on M and builds and
-    canonicalizes one family per block, and ``block_keys`` shares each
-    (block, base) between the legs of the call.  Each (mask, base) leg is
-    computed once per call; ``cls`` itself is the leg (E, 0).  Only cache
-    misses check ``mode``.
+    Without twins every orbit is one subset of weight 1.  Only cache misses
+    check ``mode``.
     """
     if not isinstance(mode, CoproductMode):
         raise ValueError(f"mode must be a CoproductMode, got {mode!r}")
     matroid = cls.matroid()
+    return _orbit_sum(mode, cls, matroid, class_orbits(matroid.twin_classes()))
+
+
+def _orbit_sum(
+    mode: CoproductMode, cls: Monomial, matroid: Matroid, orbits: list[tuple[int, int]]
+) -> TensorElement:
+    """The weighted sum of leg(A) (x) leg(E - A) over the (A, weight)
+    ``orbits`` of M = ``matroid``, the representative of ``cls``, each
+    (mask, base) leg built once per call as the module docstring says."""
     full = matroid.full_mask
     legs: dict[tuple[int, int], Monomial] = {(full, 0): cls}
     block_keys: dict[tuple[int, int], IsoKey] = {}
@@ -90,7 +92,7 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
         return out
 
     terms: dict[tuple[Monomial, ...], int] = {}
-    for a, weight in class_orbits(matroid.twin_classes()):
+    for a, weight in orbits:
         base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
         pair = (leg(a, 0), leg(full ^ a, base))
         terms[pair] = terms.get(pair, 0) + weight
@@ -105,10 +107,10 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
     For a class, b = M|e is a single loop or coloop and a = M\\e.  These
     are the orbits of ``class_orbits(M.twin_classes())`` with a one-element
     complement: one per twin class T, whose last element is deleted, with
-    weight |T|.  Both legs come from ``Monomial.from_matroid`` as in the
-    kernel, which is not built.  For a product the legwise product puts the
-    one element in exactly one factor: each factor position contributes the
-    factor's terms with the other factors multiplied onto the left leg.
+    weight |T|, summed by the kernel's walk over those orbits alone.  For a
+    product the legwise product puts the one element in exactly one factor:
+    each factor position contributes the factor's terms with the other
+    factors multiplied onto the left leg.
     """
     if len(m.factors) != 1:
         terms: dict[tuple[Monomial, ...], int] = {}
@@ -120,16 +122,8 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
         return TensorElement(2, terms)
     matroid = m.matroid()
     full = matroid.full_mask
-    block_keys: dict[tuple[int, int], IsoKey] = {}
-    terms = {}
-    for cls in matroid.twin_classes():
-        last = 1 << (cls.bit_length() - 1)
-        pair = (
-            Monomial.from_matroid(matroid, full ^ last, 0, block_keys),
-            Monomial.from_matroid(matroid, last, 0, block_keys),
-        )
-        terms[pair] = terms.get(pair, 0) + cls.bit_count()
-    return TensorElement(2, terms)
+    orbits = [(full ^ (1 << (t.bit_length() - 1)), t.bit_count()) for t in matroid.twin_classes()]
+    return _orbit_sum(CoproductMode.RD, m, matroid, orbits)
 
 
 def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
@@ -141,12 +135,13 @@ def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
 def coproduct_monomial(mode: CoproductMode, m: Monomial) -> TensorElement:
     """Multiplicative extension of the coproduct to monomials.
 
-    A one-factor monomial is a class, whose coproduct is the kernel's.  A
-    product of two or more factors is the legwise product of theirs, cached
-    apart and never taken from the kernel's entry for the product's class,
-    so that checks of multiplicativity compare two separate computations.
+    A monomial of at most one factor is a class, the unit being the empty
+    matroid's, whose coproduct is the kernel's.  A product of two or more
+    factors is the legwise product of theirs, cached apart and never taken
+    from the kernel's entry for the product's class, so that checks of
+    multiplicativity compare two separate computations.
     """
-    if len(m.factors) == 1:
+    if len(m.factors) <= 1:
         return _class_subset_sum(mode, m)
     return _coproduct_product(mode, m)
 

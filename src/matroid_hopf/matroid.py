@@ -444,6 +444,7 @@ def validate(n: int, family) -> Matroid:
 
 def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid U_{r,n}: subsets of size at most r are independent."""
+    check_size(n)  # before the walk over all subsets of size at most r
     if n < 0 or r < 0 or r > n:
         raise InvalidRank(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     fam = sorted(

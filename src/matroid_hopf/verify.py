@@ -255,8 +255,8 @@ def check_counit_laws(reps) -> CheckResult:
 
 def check_multiplicativity(reps) -> CheckResult:
     """The RD coproduct is multiplicative on direct sums of at most 5 elements.
-    Pairs with the empty class are the unit law; with a connected class both
-    sides there are the same memo entry."""
+    Pairs with the empty class are the unit law; with a connected class, or
+    with the empty class itself, both sides there are the same memo entry."""
 
     def cases():
         for m1, m2 in _pairs(reps, 5):

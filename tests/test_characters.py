@@ -7,6 +7,7 @@ import pytest
 from matroid_hopf import (
     GroundSetTooLarge,
     LinearFunctional,
+    Matroid,
     Monomial,
     NotInfinitesimal,
     Polynomial,
@@ -209,7 +210,7 @@ class TestAlpha:
         # check stops the four-factor form
         for f in (alpha, alpha_four_factor):
             with pytest.raises(GroundSetTooLarge):
-                f(uniform(0, 11))
+                f(Matroid(11, (0,)))
 
     def test_character_property(self, catalog_reps):
         small = [m for m in catalog_reps if m.n <= 2]
@@ -233,7 +234,7 @@ class TestPolyP:
         # convolution
         for f in (poly_P, alpha, poly_P_convolution_rhs):
             with pytest.raises(GroundSetTooLarge):
-                f(uniform(0, 40))
+                f(Matroid(40, (0,)))
 
     def test_closed_form(self, catalog_reps):
         for m in catalog_reps:

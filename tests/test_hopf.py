@@ -13,6 +13,7 @@ from matroid_hopf import (
     ArityMismatch,
     CoproductMode,
     GroundSetTooLarge,
+    Matroid,
     ModuleElement,
     Monomial,
     TensorElement,
@@ -96,7 +97,7 @@ class TestCoproduct:
 
     def test_size_limit(self):
         with pytest.raises(GroundSetTooLarge):
-            coproduct(CoproductMode.RD, uniform(0, 11))
+            coproduct(CoproductMode.RD, Matroid(11, (0,)))
 
     def test_matches_subset_oracle(self, oracle_cases):
         for m in oracle_cases:
@@ -242,6 +243,11 @@ class TestIteratedCoproduct:
         pytest.param(
             lambda mode: coproduct_monomial(mode, mono(uniform(1, 2), uniform(0, 1))),
             id="coproduct_monomial-product",
+        ),
+        # the unit is the empty matroid's class, checked like any class
+        pytest.param(
+            lambda mode: coproduct_monomial(mode, Monomial.unit()),
+            id="coproduct_monomial-unit",
         ),
     ],
 )
@@ -395,6 +401,15 @@ class TestSingleDeletionTerms:
         for m in cases + products:
             want = _one_element_part(coproduct_monomial(CoproductMode.RD, m))
             assert single_deletion_terms(m) == want, m
+
+    def test_product_reads_its_factors_terms(self):
+        # a product's terms come from each factor's own entry, not from a
+        # walk over the product's direct-sum representative or a kernel
+        single_deletion_terms.cache_clear()
+        hopf._class_subset_sum.cache_clear()
+        single_deletion_terms(mono(uniform(1, 2), uniform(2, 3)))
+        assert single_deletion_terms.cache_info().misses == 1 + 2
+        assert hopf._class_subset_sum.cache_info().misses == 0
 
     def test_cold_alpha_builds_only_its_own_kernel(self):
         # alpha convolves two exponentials along the coproduct of the query's

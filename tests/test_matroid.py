@@ -28,6 +28,7 @@ from matroid_hopf import (
     uniform,
     validate,
 )
+from matroid_hopf.matroid import MAX_GROUND_SET
 
 from oracles import (
     component_blocks,
@@ -128,6 +129,15 @@ class TestUniform:
             uniform(3, 2)
         with pytest.raises(InvalidRank):
             uniform(-1, 2)
+
+    def test_rejects_oversized_before_building(self):
+        # every subset of size at most r would be listed; the cap comes
+        # before the rank check
+        with pytest.raises(GroundSetTooLarge):
+            uniform(0, MAX_GROUND_SET + 1)
+        with pytest.raises(GroundSetTooLarge):
+            uniform(MAX_GROUND_SET + 2, MAX_GROUND_SET + 1)
+        assert uniform(MAX_GROUND_SET, MAX_GROUND_SET).n == MAX_GROUND_SET
 
 
 class TestGraphic:
