@@ -34,6 +34,14 @@ Five rules keep the tree small while preserving the exact lex-minimum:
 Any prefix already beaten by the best complete encoding is pruned as well.
 ``_min_relabeling`` gives the argument for each rule in full.
 
+The automorphisms met at tied leaves are not thrown away: the search
+returns them, conjugated onto the canonical labels, and
+``search_automorphisms(key)`` hands them to the coproduct kernel, which
+sums over one subset per orbit of the group they generate together with
+the twin transpositions.  They are kept per searched key; a key found by
+the lookup below is a searched key, and a uniform key, never searched,
+has the whole symmetric group as its one twin class.
+
 The coproducts canonicalize many minors that are isomorphic to one another
 under different labelings, so a search result is reused for the whole
 class.  The memo holds one entry per family asked for.  Every searched
@@ -91,6 +99,8 @@ Profiles = tuple[tuple[int, ...], ...]
 # Every searched family with its key, bucketed by _bucket_key: an index that
 # lookups scan, not a memo of one function's results.
 _bucket_cache: dict[tuple, list[tuple[IsoKey, frozenset[int], Profiles]]] = {}
+# Per searched key, the automorphisms of key.matroid() that its search met.
+_automorphism_cache: dict[IsoKey, list[tuple[int, ...]]] = {}
 
 
 def canonical_key(matroid: Matroid) -> IsoKey:
@@ -124,9 +134,25 @@ def _family_key(n: int, family: tuple[int, ...]) -> IsoKey:
         # a canonical family, as in a key.matroid() round trip, is its own key
         if found == key or _carries(n, members, profiles, target, target_profiles):
             return found
-    key = IsoKey(n, key.rank, _min_relabeling(n, family))
+    least, automorphisms = _min_relabeling(n, family)
+    key = IsoKey(n, key.rank, least)
+    _automorphism_cache[key] = automorphisms
     bucket.append((key, members, profiles))
     return key
+
+
+def search_automorphisms(key: IsoKey) -> list[tuple[int, ...]]:
+    """Automorphisms of ``key.matroid()`` that the search for ``key`` met.
+
+    Each is a permutation g of the canonical labels, e -> g[e], that maps
+    the canonical family onto itself.  Empty for a key that no search in
+    this process found: a uniform key, or one whose memo was emptied.
+    With the twin transpositions they have generated all of Aut(M) on
+    every class checked (McKay's result for a search that prunes only by
+    the automorphisms it found), but callers rely only on each one being
+    an automorphism.
+    """
+    return _automorphism_cache.get(key, [])
 
 
 def _profiles(n: int, family: tuple[int, ...]) -> Profiles:
@@ -198,8 +224,11 @@ def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
     return canonical_key(m1) == canonical_key(m2)
 
 
-def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least sorted family over all relabelings.
+def _min_relabeling(
+    n: int, family: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Lexicographically least sorted family over all relabelings, and the
+    automorphisms met on the way, on the canonical labels.
 
     ``family`` is downward closed (a matroid's independent sets).  New
     labels 0..n-1 go to original elements one position at a time.  Once
@@ -254,6 +283,12 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
     The prefix is also compared with the best complete encoding found so
     far: a subtree whose prefix is already worse is skipped, and one whose
     prefix is already better needs no further comparison.
+
+    Every tied-leaf automorphism maps the input family onto itself,
+    whichever leaf was best when it was met.  The canonical labeling sends
+    best_placed[i] to label i, so with ``label_of`` its inverse the
+    automorphism ``auto`` acts on the canonical labels as
+    i -> label_of[auto[best_placed[i]]].
     """
     matroid = Matroid(n, family)
     classes = matroid.twin_classes()
@@ -337,7 +372,11 @@ def _min_relabeling(n: int, family: tuple[int, ...]) -> tuple[int, ...]:
             back = n
 
     descend((1 << n) - 1, True)
-    return tuple(best)
+    label_of = [0] * n
+    for label, e in enumerate(best_placed):
+        label_of[e] = label
+    generators = [tuple([label_of[auto[e]] for e in best_placed]) for auto, _ in autos]
+    return tuple(best), generators
 
 
 def _orbit_meets(

@@ -121,10 +121,8 @@ def convolve(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
     """Convolution along the restriction-deletion coproduct."""
 
     def rule(m: Monomial) -> Polynomial:
-        out = ZERO
-        for (a, b), c in coproduct_monomial(CoproductMode.RD, m).terms.items():
-            out = out + c * (f(a) * g(b))
-        return out
+        terms = coproduct_monomial(CoproductMode.RD, m).terms
+        return Polynomial.sum_of_products([(c, f(a), g(b)) for (a, b), c in terms.items()])
 
     name = f"({f.name}*{g.name})"
     return LinearFunctional(rule, name, integer_valued=f.integer_valued and g.integer_valued)
@@ -161,12 +159,12 @@ def conv_exp(f: LinearFunctional) -> LinearFunctional:
             tensor = single_deletion_terms(m)
         else:
             tensor = coproduct_monomial(CoproductMode.RD, m)
-        out = ZERO
+        triples = []
         for (a, b), c in tensor.terms.items():
             fb = f(b)
             if fb:
-                out = out + c * b.degree * (exp(a) * fb)
-        out = out / m.degree
+                triples.append((c * b.degree, exp(a), fb))
+        out = Polynomial.sum_of_products(triples) / m.degree
         if f.integer_valued and not out.has_integer_coefficients():
             raise AssertionError(
                 f"exponential of {f.name or 'functional'} is not integral on {m}"

@@ -102,6 +102,23 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum_of_products(cls, triples) -> Polynomial:
+        """The sum of c * p * q over the (int c, p, q) triples.
+
+        One dict holds the whole sum and is cleaned once, where adding
+        c * (p * q) term by term would build and clean three polynomials
+        per triple.
+        """
+        out: dict[tuple[int, int, int], int | Fraction] = {}
+        for c, p, q in triples:
+            for e1, c1 in p.terms.items():
+                c1 *= c
+                for e2, c2 in q.terms.items():
+                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                    out[e] = out.get(e, 0) + c1 * c2
+        return cls(out)
+
     def __truediv__(self, scalar) -> Polynomial:
         q = Fraction(scalar)
         return Polynomial({e: c / q for e, c in self.terms.items()})

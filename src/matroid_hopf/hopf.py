@@ -18,11 +18,16 @@ antipode is cached per monomial.
 
 On a miss the kernel visits one subset per orbit of the group generated by
 the twin transpositions of M (``Matroid.twin_classes``: parallel, series,
-loop and coloop classes, all of U_{r,n}), with the orbit's size as its
-weight; ``matroid.class_orbits`` lists the orbits, for
-``characters.poly_P`` too.  An automorphism carries A onto an isomorphic
-pair of legs, so every subset of an orbit adds the same term; a twin-free
-matroid has 2^n orbits of one subset each.  No minor is built per subset.
+loop and coloop classes, all of U_{r,n}) together with the automorphisms
+that the canonical search met (``canonical.search_automorphisms``), with
+the orbit's size as its weight.  ``matroid.class_orbits`` lists the twin
+orbits, for ``characters.poly_P`` too, and ``matroid.merge_orbits`` joins
+those that the search's automorphisms map onto one another.  An
+automorphism carries A onto an isomorphic pair of legs, so every subset of
+an orbit adds the same term; the sum over any subgroup of Aut(M) is exact,
+so a class whose automorphisms are not known gets the same sum from its
+twin orbits.  A matroid whose only automorphism is the identity has 2^n
+orbits of one subset each.  No minor is built per subset.
 Each leg is a minor (M/B)|X, with B = 0 for M|A and M\\A = M|(E - A) and B
 a basis of A for M/A.  ``Monomial.from_matroid`` reads its component masks
 on M and builds one small family per distinct connected block, for both
@@ -35,8 +40,8 @@ S(m) = -sum c S(a) b over the terms c a (x) b of the memoized monomial
 coproduct of m with a != m.
 
 ``single_deletion_terms`` keeps, memoized apart, only the terms whose right
-leg has one element: c (M\\e) (x) (M|e), one per twin class, from the
-kernel's walk over those orbits alone.  The exponential of a functional
+leg has one element: c (M\\e) (x) (M|e), one per orbit of elements, from
+the kernel's walk over those orbits alone.  The exponential of a functional
 supported on the single loop and the single coloop reads nothing else, so it
 never builds a class's whole kernel.
 """
@@ -47,9 +52,9 @@ from enum import Enum
 from functools import cache, partial
 from typing import Literal
 
-from .canonical import IsoKey
+from .canonical import IsoKey, search_automorphisms
 from .formal import ArityMismatch, Monomial, ModuleElement, TensorElement, module_product
-from .matroid import Matroid, check_size, class_orbits
+from .matroid import Matroid, check_size, class_orbits, merge_orbits
 
 
 class CoproductMode(Enum):
@@ -62,17 +67,34 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
     """The coproduct of the class ``cls``, memoized per (mode, cls).
 
     The walk runs on the representative M = ``cls.matroid()``, over
-    ``class_orbits(M.twin_classes())``: each representative A with the size
-    of its orbit as weight.  An automorphism g of M maps its independent
-    sets onto themselves, so M|g(A), M\\g(A) and M/g(A) are isomorphic to
-    M|A, M\\A and M/A: every subset of an orbit adds the same leg classes.
-    Without twins every orbit is one subset of weight 1.  Only cache misses
-    check ``mode``.
+    ``class_orbits(M.twin_classes())`` merged by the search's
+    automorphisms of each factor: each representative A with the size of
+    its orbit as weight.  An automorphism g of M maps its independent sets
+    onto themselves, so M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A,
+    M\\A and M/A: every subset of an orbit adds the same leg classes.
+    Without twins or other automorphisms every orbit is one subset of
+    weight 1.  Only cache misses check ``mode``.
     """
     if not isinstance(mode, CoproductMode):
         raise ValueError(f"mode must be a CoproductMode, got {mode!r}")
     matroid = cls.matroid()
-    return _orbit_sum(mode, cls, matroid, class_orbits(matroid.twin_classes()))
+    classes = matroid.twin_classes()
+    orbits = merge_orbits(class_orbits(classes), classes, _automorphisms(cls))
+    return _orbit_sum(mode, cls, matroid, orbits)
+
+
+def _automorphisms(cls: Monomial) -> list[list[int]]:
+    """The search's automorphisms of each factor of ``cls``, each acting on
+    that factor's block of ``cls.matroid()`` and fixing the other blocks."""
+    out = []
+    offset = 0
+    for key in cls.factors:
+        for g in search_automorphisms(key):
+            perm = list(range(cls.degree))
+            perm[offset : offset + key.n] = [offset + e for e in g]
+            out.append(perm)
+        offset += key.n
+    return out
 
 
 def _orbit_sum(
@@ -105,12 +127,14 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
     right leg b has one element, memoized per monomial.
 
     For a class, b = M|e is a single loop or coloop and a = M\\e.  These
-    are the orbits of ``class_orbits(M.twin_classes())`` with a one-element
-    complement: one per twin class T, whose last element is deleted, with
-    weight |T|, summed by the kernel's walk over those orbits alone.  For a
-    product the legwise product puts the one element in exactly one factor:
-    each factor position contributes the factor's terms with the other
-    factors multiplied onto the left leg.
+    are the kernel's orbits with a one-element complement: one per twin
+    class T, whose last element is deleted, with weight |T|, merged by the
+    same automorphisms as the kernel's, since E - g(last(T)) has the form
+    E - last(T') for the twin class T' holding g(last(T)).  The kernel's
+    walk sums over those orbits alone.  For a product the legwise product
+    puts the one element in exactly one factor: each factor position
+    contributes the factor's terms with the other factors multiplied onto
+    the left leg.
     """
     if len(m.factors) != 1:
         terms: dict[tuple[Monomial, ...], int] = {}
@@ -122,7 +146,9 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
         return TensorElement(2, terms)
     matroid = m.matroid()
     full = matroid.full_mask
-    orbits = [(full ^ (1 << (t.bit_length() - 1)), t.bit_count()) for t in matroid.twin_classes()]
+    classes = matroid.twin_classes()
+    orbits = [(full ^ (1 << (t.bit_length() - 1)), t.bit_count()) for t in classes]
+    orbits = merge_orbits(orbits, classes, _automorphisms(m))
     return _orbit_sum(CoproductMode.RD, m, matroid, orbits)
 
 

@@ -128,6 +128,76 @@ def class_orbits(classes: tuple[int, ...]) -> list[tuple[int, int]]:
     return orbits
 
 
+def merge_orbits(
+    orbits: list[tuple[int, int]], classes: tuple[int, ...], generators
+) -> list[tuple[int, int]]:
+    """Merge the (subset, weight) orbits of the symmetric groups on the
+    disjoint masks ``classes`` into the orbits of the group that they and
+    the permutations ``generators`` (e -> g[e]) generate together.
+
+    Each listed subset takes the first k_i elements of each class T_i, as
+    in ``class_orbits``.  Every generator maps classes onto classes, as an
+    automorphism maps twin classes onto twin classes, so it maps the orbit
+    of A onto the orbit of g(A), listed under its own such form: the first
+    |g(A) & T_i| elements of each T_i.  The list must hold that form for
+    the image of every listed subset, so each generator permutes the list.
+    A walk along those permutations joins the entries of each merged
+    orbit: the first listed subset stays as its representative, and the
+    weights add up.  Only listed subsets are mapped, never all 2^n masks,
+    through two tables per generator of the images of the low and the high
+    half of the labels.  With no generators the list comes back unchanged.
+    """
+    if not generators:
+        return orbits
+    prefixes = []  # per class of two or more elements, its prefixes by size
+    singles = 0  # the union of the one-element classes
+    for cls in classes:
+        if cls & (cls - 1):
+            row, prefix = [0], 0
+            for e in elements_of(cls):
+                prefix |= 1 << e
+                row.append(prefix)
+            prefixes.append((cls, row))
+        else:
+            singles |= cls
+    index = {a: i for i, (a, _) in enumerate(orbits)}
+    moves = []  # per generator, the index of each listed subset's image
+    for g in generators:
+        half = (len(g) + 1) // 2
+        low, high = [0], [0]
+        for e, f in enumerate(g):
+            table = low if e < half else high
+            table += [t | 1 << f for t in table]
+        low_mask = (1 << half) - 1
+        images = [low[a & low_mask] | high[a >> half] for a, _ in orbits]
+        if prefixes:
+            forms = []
+            for image in images:
+                form = image & singles
+                for cls, row in prefixes:
+                    form |= row[(image & cls).bit_count()]
+                forms.append(form)
+            images = forms
+        moves.append([index[image] for image in images])
+    seen = [False] * len(orbits)
+    out = []
+    for i, (a, _) in enumerate(orbits):
+        if seen[i]:
+            continue
+        seen[i] = True
+        stack, weight = [i], 0
+        while stack:
+            j = stack.pop()
+            weight += orbits[j][1]
+            for move in moves:
+                k = move[j]
+                if not seen[k]:
+                    seen[k] = True
+                    stack.append(k)
+        out.append((a, weight))
+    return out
+
+
 @dataclass(frozen=True)
 class Matroid:
     """A matroid (E, I) with E = {0,...,n-1} and I an explicit family.

@@ -30,7 +30,7 @@ from functools import cache
 from itertools import permutations
 from pathlib import Path
 
-from .canonical import _min_relabeling, canonical_key
+from .canonical import _min_relabeling, canonical_key, search_automorphisms
 from .catalog import MAX_CATALOG_N, CatalogTooLarge, cached_catalog
 from .characters import (
     alpha,
@@ -204,7 +204,9 @@ def check_canonical_oracle(reps) -> CheckResult:
     catalog's representative is canonical already.  The relabelings miss
     the memo and take the key through the isomorphism lookup of
     ``canonical_key``, so the relabel check tests the lookup against the
-    search.
+    search.  Every automorphism the search stored for the class must map
+    its canonical family onto itself, since the coproduct kernel merges
+    subsets by them; a wrong one reads "automorphism fails on {m}".
     """
 
     def cases():
@@ -213,8 +215,11 @@ def check_canonical_oracle(reps) -> CheckResult:
             copies = [m.relabel(perm) for perm in permutations(range(m.n))]
             families = [c.independents for c in copies]
             least = min(families)
-            if key.family != least or _min_relabeling(m.n, max(families)) != least:
+            if key.family != least or _min_relabeling(m.n, max(families))[0] != least:
                 yield f"fails on {m}"
+            canon = key.matroid()
+            if any(canon.relabel(g) != canon for g in search_automorphisms(key)):
+                yield f"automorphism fails on {m}"
             bad = any(canonical_key(c) != key for c in copies)
             yield f"relabel fails on {m}" if bad else None
 

@@ -10,12 +10,13 @@ circuit, the antipode is a sum over ordered set partitions, coproduct legs
 are keyed by the least relabeled families of their components, sums
 render term by term with equal factors grouped by key equality, and
 binary matroids come from GF(2) matrices, with U_{2,4} minors found by a
-scan over every contraction and restriction.
+scan over every contraction and restriction, and automorphisms by a scan
+over all n! permutations.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, permutations
 from math import comb
 
 
@@ -57,6 +58,24 @@ def permuted_family(masks, perm):
             if s >> e & 1:
                 t |= 1 << perm[e]
         out.append(t)
+    return out
+
+
+def automorphisms(masks, n):
+    """Every permutation of 0..n-1 that maps the family onto itself, as a
+    tuple perm with e -> perm[e], by a scan of all n! permutations."""
+    fam = sorted(masks)
+    return [perm for perm in permutations(range(n)) if sorted(permuted_family(fam, perm)) == fam]
+
+
+def subset_orbits(group, n):
+    """The orbits of the 2^n subsets under ``group``, a list of every
+    element of a permutation group, as {least subset of the orbit: size}."""
+    out = {}
+    for a in range(1 << n):
+        orbit = {permuted_family([a], perm)[0] for perm in group}
+        if min(orbit) == a:
+            out[a] = len(orbit)
     return out
 
 

@@ -19,9 +19,16 @@ from matroid_hopf import (
     validate,
 )
 from matroid_hopf import canonical, hopf
-from matroid_hopf.canonical import _min_relabeling
+from matroid_hopf.canonical import _min_relabeling, search_automorphisms
+from matroid_hopf.matroid import class_orbits, merge_orbits
 
-from oracles import least_relabeled_family, permuted_family
+from oracles import (
+    automorphisms,
+    binary_matroid_families,
+    least_relabeled_family,
+    permuted_family,
+    subset_orbits,
+)
 
 
 def test_swap_symmetry():
@@ -135,12 +142,13 @@ def test_pruned_search_matches_oracle_beyond_catalog(name):
     copy = m.relabel(perm)
     assert canonical_key(copy).family == expected
     # the memo may serve the copy; the search must also find the key itself
-    assert _min_relabeling(copy.n, copy.independents) == expected
+    assert _min_relabeling(copy.n, copy.independents)[0] == expected
 
 
 def _cold_canonical_memos(monkeypatch):
     canonical._family_key.cache_clear()
     monkeypatch.setattr(canonical, "_bucket_cache", {})
+    monkeypatch.setattr(canonical, "_automorphism_cache", {})
 
 
 def test_canonical_family_is_its_own_key(monkeypatch, catalog_reps):
@@ -151,7 +159,7 @@ def test_canonical_family_is_its_own_key(monkeypatch, catalog_reps):
         m = m.relabel(list(reversed(range(m.n))))
         _cold_canonical_memos(monkeypatch)
         key = canonical_key(m)
-        assert _min_relabeling(key.n, key.family) == key.family
+        assert _min_relabeling(key.n, key.family)[0] == key.family
         with monkeypatch.context() as patch:
             # the bucket holds the key itself: no search, no bijection test
             patch.setattr(canonical, "_min_relabeling", _no_search)
@@ -245,7 +253,7 @@ def test_lookup_rejects_non_isomorphic_families(
     # direct sums of up to 6 elements share (n, |family|) far more often;
     # the search, checked against the oracle above, gives their keys
     for m in oracle_cases:
-        expected = _min_relabeling(m.n, m.independents)
+        expected = _min_relabeling(m.n, m.independents)[0]
         assert canonical_key(_shifted(m)).family == expected
 
 
@@ -290,7 +298,7 @@ def test_golden_keys_beyond_oracle_reach(name):
         assert key.rank == rank
         assert _family_digest(key) == digest
     copy = m.relabel(perm)
-    assert _min_relabeling(copy.n, copy.independents) == key.family
+    assert _min_relabeling(copy.n, copy.independents)[0] == key.family
 
 
 def test_orbit_rule_skips_pinned_siblings(monkeypatch):
@@ -308,12 +316,12 @@ def test_orbit_rule_skips_pinned_siblings(monkeypatch):
     for name, pinned in (("M(K5)", (187, 47)), ("M*(K5 - e)", (1216, 54))):
         calls.clear()
         m, rank, digest = GOLDEN_KEYS[name]
-        key = canonical.IsoKey(m.n, rank, _min_relabeling(m.n, m.independents))
+        key = canonical.IsoKey(m.n, rank, _min_relabeling(m.n, m.independents)[0])
         assert (len(calls), sum(calls)) == pinned
         assert _family_digest(key) == digest
     calls.clear()
     k4 = ORACLE_INPUTS["M(K4)"]
-    assert _min_relabeling(k4.n, k4.independents) == oracle_family("M(K4)")
+    assert _min_relabeling(k4.n, k4.independents)[0] == oracle_family("M(K4)")
     assert (len(calls), sum(calls)) == (27, 8)
 
 
@@ -350,7 +358,7 @@ def test_search_matches_oracle_where_ties_and_backjumps_fire(name):
     assert m.n in (6, 7)
     copy = m.relabel(perm)
     expected = least_relabeled_family(m.independents, m.n)
-    assert _min_relabeling(copy.n, copy.independents) == expected
+    assert _min_relabeling(copy.n, copy.independents)[0] == expected
 
 
 def test_cold_coproduct_searches_each_class_once(monkeypatch):
@@ -373,6 +381,44 @@ def test_cold_coproduct_searches_each_class_once(monkeypatch):
     assert len(searched) == len(classes) == 14
 
 
+def test_search_automorphisms_give_the_subset_orbits(monkeypatch, catalog_reps):
+    # with the twin transpositions, the automorphisms a cold search returns
+    # generate Aut(M): the merged orbits are the brute-force orbits of the
+    # subsets, weights included, on every connected class with 1 <= n <= 4
+    # and every connected binary class with n = 5 or 6
+    cases = [m for m in catalog_reps if m.n and m.is_connected()]
+    assert len(cases) == 9
+    binary = {}
+    for n in (5, 6):
+        for family in binary_matroid_families(n):
+            m = Matroid(n, tuple(family))
+            if m.is_connected():
+                binary.setdefault(canonical_key(m), m)
+    assert len(binary) == 19
+    for m in cases + list(binary.values()):
+        _cold_canonical_memos(monkeypatch)
+        key = canonical_key(m)
+        rep = key.matroid()
+        group = automorphisms(rep.independents, rep.n)
+        generators = search_automorphisms(key)
+        assert set(generators) <= set(group)
+        classes = rep.twin_classes()
+        merged = merge_orbits(class_orbits(classes), classes, generators)
+        least = {min(permuted_family([a], g)[0] for g in group): w for a, w in merged}
+        assert len(least) == len(merged)
+        assert least == subset_orbits(group, rep.n)
+
+
+def test_uniform_and_unsearched_keys_have_no_generators(monkeypatch):
+    _cold_canonical_memos(monkeypatch)
+    assert search_automorphisms(canonical_key(uniform(2, 5))) == []
+    k4 = ORACLE_INPUTS["M(K4)"]
+    key = canonical.IsoKey(k4.n, 3, oracle_family("M(K4)"))
+    assert search_automorphisms(key) == []
+    assert canonical_key(k4) == key
+    assert len(search_automorphisms(key)) > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_random_relabelings_of_catalog_matroids(catalog_reps, data):
@@ -381,7 +427,7 @@ def test_random_relabelings_of_catalog_matroids(catalog_reps, data):
     relabeled = Matroid(m.n, tuple(sorted(permuted_family(m.independents, perm))))
     assert canonical_key(relabeled) == canonical_key(m)
     assert is_isomorphic(relabeled, m)
-    assert _min_relabeling(relabeled.n, relabeled.independents) == canonical_key(m).family
+    assert _min_relabeling(relabeled.n, relabeled.independents)[0] == canonical_key(m).family
 
 
 def test_is_isomorphic_examples():

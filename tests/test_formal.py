@@ -112,6 +112,25 @@ def test_evaluation_is_a_ring_map(p, q, a, b):
     assert stored_as_int_iff_integral(p.eval(x=a, y=b))
 
 
+@given(st.lists(st.tuples(st.integers(-3, 3), small_polys, small_polys), max_size=4))
+def test_sum_of_products_matches_the_termwise_sum(triples):
+    termwise = ZERO
+    for c, p, q in triples:
+        termwise = termwise + c * (p * q)
+    fused = Polynomial.sum_of_products(triples)
+    assert fused == termwise
+    assert stored_as_int_iff_integral(fused)
+
+
+def test_sum_of_products_cleans_once():
+    # halves that add up to an integer, and terms that cancel, as in an
+    # exponential's recursion before its division by the degree
+    fused = Polynomial.sum_of_products([(1, X / 2, Y), (3, X / 2, Y), (2, S, ONE), (-2, ONE, S)])
+    assert fused.terms == {(1, 1, 0): 2}
+    assert type(fused.terms[1, 1, 0]) is int
+    assert Polynomial.sum_of_products([]) == ZERO
+
+
 class TestCoefficientTypes:
     def test_integral_values_are_ints(self):
         exp_two_coloops = conv_exp(linear_combination([(S, delta_coloop())]))(

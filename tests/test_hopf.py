@@ -30,7 +30,7 @@ from matroid_hopf import (
     split,
     uniform,
 )
-from matroid_hopf import dendriform, hopf
+from matroid_hopf import canonical, dendriform, hopf
 from matroid_hopf.hopf import (
     apply_counit,
     convolve_antipode_identity,
@@ -432,6 +432,94 @@ class TestSingleDeletionTerms:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.split() == ["1", "0"]
+
+
+def _cold_memos(monkeypatch):
+    """Empty the canonical memos and the kernels: every class is searched
+    again, and its search's automorphisms are the ones the kernel reads."""
+    canonical._family_key.cache_clear()
+    monkeypatch.setattr(canonical, "_bucket_cache", {})
+    monkeypatch.setattr(canonical, "_automorphism_cache", {})
+    hopf._class_subset_sum.cache_clear()
+    single_deletion_terms.cache_clear()
+
+
+def _walked(monkeypatch):
+    """The (subset, weight) lists that kernel walks visit from now on."""
+    walked = []
+    orbit_sum = hopf._orbit_sum
+
+    def counted(mode, cls, matroid, orbits):
+        walked.append(orbits)
+        return orbit_sum(mode, cls, matroid, orbits)
+
+    monkeypatch.setattr(hopf, "_orbit_sum", counted)
+    return walked
+
+
+def _one_element_complement(n):
+    full = (1 << n) - 1
+    return lambda a: (full ^ a).bit_count() == 1
+
+
+class TestAutomorphismOrbits:
+    def test_k4_walks_one_subset_per_orbit(self, monkeypatch):
+        # S_4 permutes the six edges of K4, which has no twins: 11 orbits of
+        # edge sets (the graphs on four labeled vertices up to relabeling)
+        # where the twin orbits are all 64 subsets, and one orbit of single
+        # edges, of weight 6
+        k4 = graphic(4, K4_EDGES)
+        _cold_memos(monkeypatch)
+        walked = _walked(monkeypatch)
+        for mode in CoproductMode:
+            t = coproduct(mode, k4)
+            assert len(walked[-1]) == 11
+            assert sum(w for _, w in walked[-1]) == 64
+            assert tensor_codes(t) == coproduct_terms(k4.independents, 6, mode.value, lambda a: True)
+        t = single_deletion_terms(mono(k4))
+        assert [w for _, w in walked[-1]] == [6]
+        want = coproduct_terms(k4.independents, 6, "rd", _one_element_complement(6))
+        assert tensor_codes(t) == want
+
+    def test_product_moves_each_factors_block(self, monkeypatch):
+        # M(K4) plus a loop: the loop's factor sorts first, so K4's
+        # automorphisms act on labels 1..6 of the representative
+        m = graphic(4, K4_EDGES + [(0, 0)])
+        _cold_memos(monkeypatch)
+        walked = _walked(monkeypatch)
+        for mode in CoproductMode:
+            t = coproduct(mode, m)
+            assert [len(orbits) for orbits in walked] == [11 * 2]
+            assert tensor_codes(t) == coproduct_terms(m.independents, 7, mode.value, lambda a: True)
+            walked.clear()
+        want = coproduct_terms(m.independents, 7, "rd", _one_element_complement(7))
+        assert tensor_codes(single_deletion_terms(mono(m))) == want
+
+    def test_sums_do_not_depend_on_the_generators(self, monkeypatch, catalog_reps):
+        # the sum over any subgroup of Aut(M) is exact: emptying the
+        # generator memo leaves the twin orbits, and every sum as it was
+        cases = catalog_reps + [
+            graphic(4, K4_EDGES),
+            graphic(4, K4_EDGES).dual(),
+            graphic(4, K4_EDGES + [(0, 1), (2, 2)]),
+            graphic(4, K4_EDGES + [(0, 0)]),
+            graphic(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+        ]
+
+        def sums():
+            hopf._class_subset_sum.cache_clear()
+            single_deletion_terms.cache_clear()
+            walked.clear()
+            out = [coproduct(mode, m) for m in cases for mode in CoproductMode]
+            return out + [single_deletion_terms(mono(m)) for m in cases]
+
+        _cold_memos(monkeypatch)
+        walked = _walked(monkeypatch)
+        with_generators = sums()
+        visited = sum(len(orbits) for orbits in walked)
+        monkeypatch.setattr(canonical, "_automorphism_cache", {})
+        assert sums() == with_generators
+        assert visited < sum(len(orbits) for orbits in walked)
 
 
 class TestAntipode:

@@ -28,7 +28,7 @@ from matroid_hopf import (
     uniform,
     validate,
 )
-from matroid_hopf.matroid import MAX_GROUND_SET
+from matroid_hopf.matroid import MAX_GROUND_SET, class_orbits, merge_orbits
 
 from oracles import (
     component_blocks,
@@ -431,6 +431,32 @@ class TestTwinClasses:
                 swap[e], swap[f] = f, e
                 twins = any(c >> e & 1 and c >> f & 1 for c in classes)
                 assert twins == (m.relabel(swap).independents == m.independents)
+
+
+class TestMergeOrbits:
+    # two classes {0, 1} and {2, 3}, swapped by the generator: the 9 count
+    # vectors (k1, k2) merge in pairs (k1, k2) ~ (k2, k1) into 6 orbits
+    CLASSES = (0b0011, 0b1100)
+    SWAPPED = [(0b0000, 1), (0b0100, 4), (0b1100, 2), (0b0101, 4), (0b1101, 4), (0b1111, 1)]
+
+    @pytest.mark.parametrize("generator", [(2, 3, 0, 1), (3, 2, 1, 0)])
+    def test_images_take_their_twin_form(self, generator):
+        # (3, 2, 1, 0) sends the first element of each class to the last
+        # of the other, so its images are listed under their twin form
+        merged = merge_orbits(class_orbits(self.CLASSES), self.CLASSES, [generator])
+        assert merged == self.SWAPPED
+
+    def test_twin_transpositions_merge_nothing(self):
+        orbits = class_orbits(self.CLASSES)
+        assert merge_orbits(orbits, self.CLASSES, []) is orbits
+        assert merge_orbits(orbits, self.CLASSES, [(1, 0, 3, 2)]) == orbits
+
+    def test_single_deletions_of_a_twin_free_cycle(self):
+        # the rotation of a 5-cycle's edges joins the five single deletions
+        # E - e, one-element classes, into one orbit of weight 5
+        full, classes = 0b11111, tuple(1 << e for e in range(5))
+        orbits = [(full ^ t, 1) for t in classes]
+        assert merge_orbits(orbits, classes, [(1, 2, 3, 4, 0)]) == [(0b11110, 5)]
 
 
 def _in_labels(blocks, ground):

@@ -205,6 +205,11 @@ FAILURES = [
      f"fails on {E}"),
     ("check_canonical_oracle", "canonical-oracle", _replace(Matroid, "relabel", _constant(U01)),
      f"relabel fails on {E}"),
+    # a stored generator that reverses the labels, which is no automorphism
+    # of the loop plus a coloop, the first class it moves off itself
+    ("check_canonical_oracle", "canonical-oracle",
+     _replace(verify, "search_automorphisms", lambda real: lambda key: [tuple(range(key.n))[::-1]]),
+     "automorphism fails on Matroid(n=2, |I|=2)"),
     ("check_coassociativity", "coassociativity",
      _replace(verify, "iterated_coproduct", lambda real: lambda mode, m, side: side),
      f"rc fails on {E}"),
@@ -323,7 +328,7 @@ SEARCH_RETURNS_ITS_INPUT = textwrap.dedent(
     from matroid_hopf import canonical, verify
 
     def unchanged(n, family):
-        return family
+        return family, []
 
     canonical._min_relabeling = verify._min_relabeling = unchanged
     for row in verify.run_all(max_n=4, cache_dir=Path(sys.argv[1])):
