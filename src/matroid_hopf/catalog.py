@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from .canonical import IsoKey, canonical_key
 from .matroid import InputError, Matroid, elements_of, mask_of, submasks
@@ -36,9 +36,8 @@ class CatalogTooLarge(InputError):
         self.n = n
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """All isomorphism classes on a fixed ground-set size."""
+class Catalog(NamedTuple):
+    """All isomorphism classes on a fixed ground-set size; len() counts them."""
 
     n: int
     classes: tuple[IsoKey, ...]

@@ -22,8 +22,8 @@ The axiom checks and the gap (MN as the product of two classes) hand
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .formal import Monomial, TensorElement
 from .hopf import CoproductMode, coproduct, coproduct_monomial
@@ -34,8 +34,7 @@ class EmptyMatroidError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(NamedTuple):
     """The two halves of a reduced coproduct; prec + succ recovers it."""
 
     prec: TensorElement
@@ -79,8 +78,7 @@ def _halves(mode: CoproductMode, cls: Monomial) -> SplitPair:
     return SplitPair(TensorElement(2, prec), TensorElement(2, succ))
 
 
-@dataclass(frozen=True)
-class DendriformReport:
+class DendriformReport(NamedTuple):
     """Outcome of the three dendriform coalgebra axioms."""
 
     axiom1: bool

@@ -10,6 +10,9 @@ ascending order of their original labels, which makes the restriction and
 deletion composition identities literal equalities of Matroid values.
 ``Matroid.from_dict`` reads the JSON record of CLI input files and catalog
 caches alike.
+``Matroid`` and the other plain records are ``NamedTuple``s, cheap to build,
+hash and compare; a record decorator's module, with the ``inspect``, ``ast``
+and ``dis`` it loads, took over half of the package's own import time.
 Every bad-input error, here or elsewhere, subclasses :class:`InputError`,
 which the CLI reports as exit code 2; API misuse raises plain ``ValueError``:
 a mask outside [0, 2^n) handed to ``rank``, ``element_counts``,
@@ -21,11 +24,11 @@ permutation of 0..n-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -198,18 +201,23 @@ def merge_orbits(
     return out
 
 
-@dataclass(frozen=True)
-class Matroid:
+class _Fields(NamedTuple):
+    n: int
+    independents: tuple[int, ...]
+
+
+class Matroid(_Fields):
     """A matroid (E, I) with E = {0,...,n-1} and I an explicit family.
 
     ``independents`` is the strictly sorted tuple of all independent-set
     bitmasks.  The raw constructor does not check the axioms; go through
     :func:`validate` for untrusted families.  Values are immutable and all
-    operations are pure, so instances can be shared freely.
+    operations are pure, so instances can be shared freely.  No
+    ``__slots__``, so that ``_iset`` can cache on the instance.
     """
 
-    n: int
-    independents: tuple[int, ...]
+    # a matroid is not a number: no tuple concatenation or repetition
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     @cached_property
     def _iset(self) -> frozenset[int]:
@@ -532,10 +540,13 @@ def graphic(vertex_count: int, edges) -> Matroid:
     """Cycle matroid of a multigraph; edge i becomes ground-set element i.
 
     A subset of edges is independent iff it is a forest; self-loop edges are
-    matroid loops.
+    matroid loops.  Edges are added one at a time; each forest so far keeps
+    per vertex the least vertex of its tree, and it plus the next edge is a
+    forest iff the edge's ends have different labels.  Only forests are
+    visited, and they come out ascending.
     """
     edges = [tuple(e) for e in edges]
-    check_size(len(edges))  # before the walk over all 2^m edge subsets
+    check_size(len(edges))  # before the walk over the forests, up to 2^m of them
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise BadVertexIndex(
@@ -543,26 +554,15 @@ def graphic(vertex_count: int, edges) -> Matroid:
             )
     # relabel the endpoints that occur to 0..k-1, so isolated vertices cost nothing
     index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
-    edges = [(index[u], index[v]) for u, v in edges]
-    m = len(edges)
-    fam = [s for s in range(1 << m) if _is_forest(len(index), edges, s)]
-    return Matroid(m, tuple(fam))
-
-
-def _is_forest(vertex_count: int, edges, mask: int) -> bool:
-    parent = list(range(vertex_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(mask.bit_length()):
-        if mask >> i & 1:
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
+    forests = [(0, tuple(range(len(index))))]
+    for i, (u, v) in enumerate(edges):
+        u, v = index[u], index[v]
+        grown = []
+        for mask, label in forests:
+            a, b = label[u], label[v]
+            if a != b:
+                low = min(a, b)
+                label = tuple(low if x == a or x == b else x for x in label)
+                grown.append((mask | 1 << i, label))
+        forests += grown
+    return Matroid(len(edges), tuple(mask for mask, _ in forests))

@@ -25,10 +25,10 @@ named ``check_*`` and no ``check_*`` calls another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from pathlib import Path
+from typing import NamedTuple
 
 from .canonical import _min_relabeling, canonical_key, search_automorphisms
 from .catalog import MAX_CATALOG_N, CatalogTooLarge, cached_catalog
@@ -58,8 +58,7 @@ from .hopf import (
 from .matroid import MAX_GROUND_SET, InputError, Matroid, submasks, uniform, validate
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

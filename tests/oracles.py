@@ -10,8 +10,9 @@ circuit, the antipode is a sum over ordered set partitions, coproduct legs
 are keyed by the least relabeled families of their components, sums
 render term by term with equal factors grouped by key equality, and
 binary matroids come from GF(2) matrices, with U_{2,4} minors found by a
-scan over every contraction and restriction, and automorphisms by a scan
-over all n! permutations.
+scan over every contraction and restriction, automorphisms by a scan
+over all n! permutations, and graphic families by a union-find test of
+every edge subset.
 """
 
 from collections import Counter
@@ -77,6 +78,31 @@ def subset_orbits(group, n):
         if min(orbit) == a:
             out[a] = len(orbit)
     return out
+
+
+def forest_family(vertex_count, edges):
+    """The ascending masks of the edge subsets of a multigraph on the
+    vertices 0..vertex_count-1 that are forests, each of the 2^m subsets
+    tested with its own union-find.  The union-find is a dict, so a vertex
+    outside every edge is never stored, whatever ``vertex_count`` is."""
+    out = []
+    for s in range(1 << len(edges)):
+        parent = {}
+        for i, (u, v) in enumerate(edges):
+            if s >> i & 1:
+                ru, rv = _root(parent, u), _root(parent, v)
+                if ru == rv:
+                    break
+                parent[ru] = rv
+        else:
+            out.append(s)
+    return tuple(out)
+
+
+def _root(parent, a):
+    while a in parent:
+        a = parent[a]
+    return a
 
 
 def least_relabeled_family(masks, n, shortcut=True):

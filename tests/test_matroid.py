@@ -9,7 +9,7 @@ from operator import or_
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import matroid_hopf
 from matroid_hopf import (
@@ -34,6 +34,7 @@ from oracles import (
     component_blocks,
     contract_family,
     family_is_matroid,
+    forest_family,
     restrict_family,
 )
 
@@ -140,7 +141,31 @@ class TestUniform:
         assert uniform(MAX_GROUND_SET, MAX_GROUND_SET).n == MAX_GROUND_SET
 
 
+@st.composite
+def multigraphs(draw):
+    """A vertex count up to 10**6 and at most MAX_GROUND_SET edges among at
+    most six of its vertices: self-loops, parallel edges, isolated
+    vertices and sparse labels all occur."""
+    vertex_count = draw(st.integers(1, 10**6))
+    ends = draw(st.lists(st.integers(0, vertex_count - 1), min_size=1, max_size=6, unique=True))
+    edge = st.tuples(st.sampled_from(ends), st.sampled_from(ends))
+    return vertex_count, draw(st.lists(edge, max_size=MAX_GROUND_SET))
+
+
 class TestGraphic:
+    @given(multigraphs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_forest_oracle(self, graph):
+        vertex_count, edges = graph
+        assert graphic(vertex_count, edges) == Matroid(len(edges), forest_family(vertex_count, edges))
+
+    @pytest.mark.parametrize("k, forests", [(4, 38), (5, 291)])
+    def test_complete_graphs(self, k, forests):
+        edges = list(combinations(range(k), 2))
+        m = graphic(k, edges)
+        assert m.independents == forest_family(k, edges)
+        assert len(m.independents) == forests
+
     def test_parallel_edges_and_self_loop(self, loop_example):
         m = graphic(2, [(0, 1), (0, 1), (0, 1), (1, 1)])
         assert m == loop_example
@@ -156,15 +181,15 @@ class TestGraphic:
             graphic(2, [(0, 2)])
 
     def test_rejects_oversized_before_building(self):
-        # 11 edges would walk 2^11 subsets; the cap comes before the vertex check
+        # 11 edges could walk 2^11 forests; the cap comes before the vertex check
         with pytest.raises(GroundSetTooLarge):
             graphic(3, [(0, 1)] * 11)
         with pytest.raises(GroundSetTooLarge):
             graphic(2, [(0, 2)] * 11)
 
     def test_isolated_vertices_cost_nothing(self):
-        # A child process under a 1 GiB address-space limit: one union-find
-        # array over all 10**12 vertices would raise MemoryError there.
+        # A child process under a 1 GiB address-space limit: one label per
+        # vertex over all 10**12 vertices would raise MemoryError there.
         script = textwrap.dedent(
             """
             import resource
@@ -184,6 +209,44 @@ class TestGraphic:
             env={**os.environ, "PYTHONPATH": str(Path(matroid_hopf.__file__).parents[1])},
         )
         assert child.returncode == 0, child.stderr
+
+
+class TestTupleSemantics:
+    """A Matroid is the tuple (n, independents) with methods: it hashes and
+    prints as a frozen record of those fields, but is not a number."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for m in (empty_matroid(), uniform(2, 4), graphic(4, combinations(range(4), 2))):
+            assert hash(m) == hash((m.n, m.independents))
+
+    def test_repr(self):
+        assert repr(uniform(2, 2)) == "Matroid(n=2, independents=(0, 1, 2, 3))"
+
+    def test_no_concatenation_or_repetition(self):
+        m = uniform(1, 2)
+        for op in (lambda: m + m, lambda: m * 2, lambda: 2 * m):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_independence_oracle_is_cached(self):
+        m = uniform(2, 3)
+        assert m._iset is m._iset == frozenset(m.independents)
+
+    def test_patched_method_reaches_every_instance(self, monkeypatch):
+        before = uniform(2, 3)
+        monkeypatch.setattr(Matroid, "rank", lambda self, mask=None: -1)
+        built = [
+            before,
+            before.restrict(3),
+            before.contract(1),
+            before.dual(),
+            before.direct_sum(before),
+            graphic(3, [(0, 1)]),
+            validate(1, [0, 1]),
+            empty_matroid(),
+            Matroid.from_dict({"n": 1, "independent": [[]]}),
+        ]
+        assert [m.rank() for m in built] == [-1] * len(built)
 
 
 class TestRank:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -43,3 +46,20 @@ def test_input_errors_are_one_type(cls, bad_input):
 
 def test_cli_raises_the_library_input_error():
     assert cli.InputError is matroid_hopf.InputError
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    # dataclasses loads inspect, ast and dis, and these took half of the
+    # package's import time; a fresh interpreter without site-packages
+    # imports the package and its CLI without any of them
+    src = str(Path(matroid_hopf.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import matroid_hopf, matroid_hopf.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
