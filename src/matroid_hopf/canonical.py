@@ -51,8 +51,9 @@ the memo is first tested for isomorphism against the searched families of
 its bucket; on success it takes their key, which is byte-identical to what
 its own search would return, because the least relabeling depends only on
 the class.  Only a family isomorphic to none of them is searched.  A
-``key.matroid()`` round trip is served by the lookup too: its family is
-the key's own, which the bucket holds.
+``key.matroid()`` round trip is served before the lookup: its family is a
+searched key's own, which the automorphism store holds, so it computes no
+profiles.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ Profiles = tuple[tuple[int, ...], ...]
 # Every searched family with its key, bucketed by _bucket_key: an index that
 # lookups scan, not a memo of one function's results.
 _bucket_cache: dict[tuple, list[tuple[IsoKey, frozenset[int], Profiles]]] = {}
-# Per searched key, the automorphisms of key.matroid() that its search met.
-_automorphism_cache: dict[IsoKey, list[tuple[int, ...]]] = {}
+# Per searched key, the key itself and the automorphisms of key.matroid()
+# that its search met.
+_automorphism_cache: dict[IsoKey, tuple[IsoKey, list[tuple[int, ...]]]] = {}
 
 
 def canonical_key(matroid: Matroid) -> IsoKey:
@@ -110,10 +112,10 @@ def canonical_key(matroid: Matroid) -> IsoKey:
     A non-uniform family that misses the memo takes the key of an
     isomorphic family the search has already run on, found in its
     invariant bucket by ``_carries``; only otherwise is it searched.  A
-    ``key.matroid()`` round trip is such a miss, and the lookup finds the
-    canonical family itself in its bucket.  The memo only ever stores the
-    value the search would recompute, and a bucket only gains keys the
-    search found, so concurrent use is safe.
+    ``key.matroid()`` round trip is such a miss, and it takes the stored
+    key whose family it is before any bucket is read.  The memo only ever
+    stores the value the search would recompute, and a bucket only gains
+    keys the search found, so concurrent use is safe.
     """
     check_size(matroid.n)
     return _family_key(matroid.n, matroid.independents)
@@ -127,16 +129,19 @@ def _family_key(n: int, family: tuple[int, ...]) -> IsoKey:
     # every relabeling fixes a uniform family, so it is its own key
     if key.is_uniform():
         return key
+    # a canonical family, as in a key.matroid() round trip, is its own key
+    searched = _automorphism_cache.get(key)
+    if searched is not None:
+        return searched[0]
     members = frozenset(family)
     profiles = _profiles(n, family)
     bucket = _bucket_cache.setdefault(_bucket_key(n, family, profiles), [])
     for found, target, target_profiles in bucket:
-        # a canonical family, as in a key.matroid() round trip, is its own key
-        if found == key or _carries(n, members, profiles, target, target_profiles):
+        if _carries(n, members, profiles, target, target_profiles):
             return found
     least, automorphisms = _min_relabeling(n, family)
     key = IsoKey(n, key.rank, least)
-    _automorphism_cache[key] = automorphisms
+    _automorphism_cache[key] = (key, automorphisms)
     bucket.append((key, members, profiles))
     return key
 
@@ -152,7 +157,8 @@ def search_automorphisms(key: IsoKey) -> list[tuple[int, ...]]:
     the automorphisms it found), but callers rely only on each one being
     an automorphism.
     """
-    return _automorphism_cache.get(key, [])
+    searched = _automorphism_cache.get(key)
+    return [] if searched is None else searched[1]
 
 
 def _profiles(n: int, family: tuple[int, ...]) -> Profiles:

@@ -143,7 +143,10 @@ def conv_exp(f: LinearFunctional) -> LinearFunctional:
     sum reads ``single_deletion_terms(m)`` instead of the whole coproduct;
     any other f, such as one supported on U_{1,2} or a convolution, reads
     every term.  Exact rational arithmetic; when the input is integer valued
-    the result must be too, and this is checked.
+    the result must be too: each coefficient of the sum is divided by the
+    degree with ``divmod``, and a remainder raises ``AssertionError``.
+    Only a functional not marked integer valued divides through
+    ``Fraction``.
     """
     if f(Monomial.unit()) != ZERO:
         raise NotInfinitesimal(
@@ -164,12 +167,18 @@ def conv_exp(f: LinearFunctional) -> LinearFunctional:
             fb = f(b)
             if fb:
                 triples.append((c * b.degree, exp(a), fb))
-        out = Polynomial.sum_of_products(triples) / m.degree
-        if f.integer_valued and not out.has_integer_coefficients():
-            raise AssertionError(
-                f"exponential of {f.name or 'functional'} is not integral on {m}"
-            )
-        return out
+        total = Polynomial.sum_of_products(triples)
+        if not f.integer_valued:
+            return total / m.degree
+        out = {}
+        for exps, c in total.terms.items():
+            q, r = divmod(c, m.degree)
+            if r:
+                raise AssertionError(
+                    f"exponential of {f.name or 'functional'} is not integral on {m}"
+                )
+            out[exps] = q
+        return Polynomial(out)
 
     exp = LinearFunctional(rule, f"exp({f.name})", integer_valued=f.integer_valued)
     return exp

@@ -395,6 +395,24 @@ class ModuleElement:
             return module_product(self, other)
         return self.__rmul__(other)
 
+    @classmethod
+    def sum_of_products(cls, triples) -> ModuleElement:
+        """The sum of c * a * b over the (int c, a, b) triples of module
+        elements.
+
+        One dict holds the whole sum and is cleaned once, where adding
+        c * (a * b) term by term would build three module elements per
+        triple and copy the running sum.
+        """
+        out: dict[Monomial, int] = {}
+        for c, a, b in triples:
+            for m1, c1 in a.terms.items():
+                c1 *= c
+                for m2, c2 in b.terms.items():
+                    m = m1 * m2
+                    out[m] = out.get(m, 0) + c1 * c2
+        return cls(out)
+
     def render(self) -> str:
         return _render_terms((((m,), c) for m, c in self.terms.items()), module=True)
 
@@ -407,12 +425,7 @@ class ModuleElement:
 
 def module_product(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     """Bilinear extension of the monomial product (multiset union)."""
-    out: dict[Monomial, int] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            m = m1 * m2
-            out[m] = out.get(m, 0) + c1 * c2
-    return ModuleElement(out)
+    return ModuleElement.sum_of_products([(1, a, b)])
 
 
 class TensorElement:

@@ -32,12 +32,19 @@ Each leg is a minor (M/B)|X, with B = 0 for M|A and M\\A = M|(E - A) and B
 a basis of A for M/A.  ``Monomial.from_matroid`` reads its component masks
 on M and builds one small family per distinct connected block, for both
 legs, with one table of block keys per call.  Each (X, B) leg is computed
-once per call, the class itself being the leg (E, 0), so in the
-restriction-deletion case M\\A comes from the same table as the
-restrictions.  The restriction-deletion bialgebra is a commutative Hopf
-algebra, so its antipode S is multiplicative; on a connected class
+once per call, the class itself being the leg (E, 0).  In the
+restriction-deletion case no right leg is built at all: complementing
+commutes with every automorphism, so E - A lies in the orbit of some
+walked representative C, whose restriction M|C is the left leg of its own
+orbit and is isomorphic to M\\A.  ``class_orbits`` lists the complement
+of twin orbit i as orbit N - 1 - i, and ``merge_orbits`` carries C with
+each merged orbit, so the walk builds one leg per orbit.  The
+restriction-contraction walk builds its right leg M/A per orbit.  The
+restriction-deletion bialgebra is a commutative Hopf algebra, so its
+antipode S is multiplicative; on a connected class
 S(m) = -sum c S(a) b over the terms c a (x) b of the memoized monomial
-coproduct of m with a != m.
+coproduct of m with a != m, summed in one dict by
+``ModuleElement.sum_of_products``.
 
 ``single_deletion_terms`` keeps, memoized apart, only the terms whose right
 leg has one element: c (M\\e) (x) (M|e), one per orbit of elements, from
@@ -69,9 +76,10 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
     The walk runs on the representative M = ``cls.matroid()``, over
     ``class_orbits(M.twin_classes())`` merged by the search's
     automorphisms of each factor: each representative A with the size of
-    its orbit as weight.  An automorphism g of M maps its independent sets
-    onto themselves, so M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A,
-    M\\A and M/A: every subset of an orbit adds the same leg classes.
+    its orbit as weight and the representative of the orbit of E - A.  An
+    automorphism g of M maps its independent sets onto themselves, so
+    M|g(A), M\\g(A) and M/g(A) are isomorphic to M|A, M\\A and M/A: every
+    subset of an orbit adds the same leg classes.
     Without twins or other automorphisms every orbit is one subset of
     weight 1.  Only cache misses check ``mode``.
     """
@@ -79,7 +87,10 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
         raise ValueError(f"mode must be a CoproductMode, got {mode!r}")
     matroid = cls.matroid()
     classes = matroid.twin_classes()
-    orbits = merge_orbits(class_orbits(classes), classes, _automorphisms(cls))
+    orbits = class_orbits(classes)
+    # the twin classes cover E, so orbit i's complement is the N - 1 - i'th
+    orbits = [(a, w, c) for (a, w), (c, _) in zip(orbits, reversed(orbits))]
+    orbits = merge_orbits(orbits, classes, _automorphisms(cls))
     return _orbit_sum(mode, cls, matroid, orbits)
 
 
@@ -98,11 +109,15 @@ def _automorphisms(cls: Monomial) -> list[list[int]]:
 
 
 def _orbit_sum(
-    mode: CoproductMode, cls: Monomial, matroid: Matroid, orbits: list[tuple[int, int]]
+    mode: CoproductMode, cls: Monomial, matroid: Matroid, orbits: list[tuple[int, int, int]]
 ) -> TensorElement:
-    """The weighted sum of leg(A) (x) leg(E - A) over the (A, weight)
+    """The weighted sum of leg(A) (x) leg(E - A) over the (A, weight, C)
     ``orbits`` of M = ``matroid``, the representative of ``cls``, each
-    (mask, base) leg built once per call as the module docstring says."""
+    (mask, base) leg built once per call as the module docstring says.
+
+    C lies in the orbit of E - A under automorphisms of M, so the
+    restriction-deletion right leg M\\A is read as M|C; the
+    restriction-contraction right leg M/A is built from A alone."""
     full = matroid.full_mask
     legs: dict[tuple[int, int], Monomial] = {(full, 0): cls}
     block_keys: dict[tuple[int, int], IsoKey] = {}
@@ -114,9 +129,9 @@ def _orbit_sum(
         return out
 
     terms: dict[tuple[Monomial, ...], int] = {}
-    for a, weight in orbits:
-        base = 0 if mode is CoproductMode.RD else matroid._greedy_basis(a)
-        pair = (leg(a, 0), leg(full ^ a, base))
+    rd = mode is CoproductMode.RD
+    for a, weight, c in orbits:
+        pair = (leg(a, 0), leg(c, 0) if rd else leg(full ^ a, matroid._greedy_basis(a)))
         terms[pair] = terms.get(pair, 0) + weight
     return TensorElement(2, terms)
 
@@ -131,10 +146,11 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
     class T, whose last element is deleted, with weight |T|, merged by the
     same automorphisms as the kernel's, since E - g(last(T)) has the form
     E - last(T') for the twin class T' holding g(last(T)).  The kernel's
-    walk sums over those orbits alone.  For a product the legwise product
-    puts the one element in exactly one factor: each factor position
-    contributes the factor's terms with the other factors multiplied onto
-    the left leg.
+    walk sums over those orbits alone, each carrying its deleted element
+    as the complement, so every right leg M|e is built.  For a product
+    the legwise product puts the one element in exactly one factor: each
+    factor position contributes the factor's terms with the other factors
+    multiplied onto the left leg.
     """
     if len(m.factors) != 1:
         terms: dict[tuple[Monomial, ...], int] = {}
@@ -149,7 +165,7 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
     classes = matroid.twin_classes()
     orbits = [(full ^ (1 << (t.bit_length() - 1)), t.bit_count()) for t in classes]
     orbits = merge_orbits(orbits, classes, _automorphisms(m))
-    return _orbit_sum(CoproductMode.RD, m, matroid, orbits)
+    return _orbit_sum(CoproductMode.RD, m, matroid, [(a, w, full ^ a) for a, w in orbits])
 
 
 def coproduct(mode: CoproductMode, matroid: Matroid) -> TensorElement:
@@ -232,11 +248,10 @@ def antipode_rd(key: IsoKey) -> ModuleElement:
 @cache
 def _antipode(m: Monomial) -> ModuleElement:
     if len(m.factors) == 1:
-        result = ModuleElement.zero()
-        for (a, b), c in coproduct_monomial(CoproductMode.RD, m).terms.items():
-            if a != m:
-                result = result - c * module_product(_antipode(a), ModuleElement.from_monomial(b))
-        return result
+        terms = coproduct_monomial(CoproductMode.RD, m).terms.items()
+        return ModuleElement.sum_of_products(
+            [(-c, _antipode(a), ModuleElement.from_monomial(b)) for (a, b), c in terms if a != m]
+        )
     result = ModuleElement.one()
     for key in m.factors:
         result = module_product(result, _antipode(Monomial((key,))))
@@ -245,21 +260,18 @@ def _antipode(m: Monomial) -> ModuleElement:
 
 def antipode_element(e: ModuleElement) -> ModuleElement:
     """Linear extension of the antipode to elements."""
-    out = ModuleElement.zero()
-    for m, c in e.terms.items():
-        out = out + c * _antipode(m)
-    return out
+    one = ModuleElement.one()
+    return ModuleElement.sum_of_products([(c, _antipode(m), one) for m, c in e.terms.items()])
 
 
 def convolve_antipode_identity(matroid: Matroid, antipode_side: Literal["left", "right"]) -> ModuleElement:
     """Multiply after (S (x) Id) or (Id (x) S) applied to the RD coproduct."""
     if antipode_side not in ("left", "right"):
         raise ValueError(f"antipode_side must be 'left' or 'right', got {antipode_side!r}")
-    out = ModuleElement.zero()
+    triples = []
     for (a, b), c in coproduct(CoproductMode.RD, matroid).terms.items():
         if antipode_side == "left":
-            a, b = _antipode(a), ModuleElement.from_monomial(b)
+            triples.append((c, _antipode(a), ModuleElement.from_monomial(b)))
         else:
-            a, b = ModuleElement.from_monomial(a), _antipode(b)
-        out = out + c * module_product(a, b)
-    return out
+            triples.append((c, ModuleElement.from_monomial(a), _antipode(b)))
+    return ModuleElement.sum_of_products(triples)

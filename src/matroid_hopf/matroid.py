@@ -118,7 +118,11 @@ def class_orbits(classes: tuple[int, ...]) -> list[tuple[int, int]]:
 
     The orbit of A is determined by the counts |A & T_i|.  Its
     representative takes the first k_i elements of each class T_i, and its
-    weight, the orbit's size, is the product of the C(|T_i|, k_i).
+    weight, the orbit's size, is the product of the C(|T_i|, k_i).  The
+    list is in mixed radix order of the counts, the last class counting
+    fastest.  When the classes cover the ground set E, the complement of
+    orbit i is orbit N - 1 - i of the N listed: complementing sends each
+    count k_i to |T_i| - k_i, which reverses every digit.
     """
     orbits = [(0, 1)]
     for cls in classes:
@@ -132,8 +136,8 @@ def class_orbits(classes: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def merge_orbits(
-    orbits: list[tuple[int, int]], classes: tuple[int, ...], generators
-) -> list[tuple[int, int]]:
+    orbits: list[tuple[int, ...]], classes: tuple[int, ...], generators
+) -> list[tuple[int, ...]]:
     """Merge the (subset, weight) orbits of the symmetric groups on the
     disjoint masks ``classes`` into the orbits of the group that they and
     the permutations ``generators`` (e -> g[e]) generate together.
@@ -149,6 +153,13 @@ def merge_orbits(
     weights add up.  Only listed subsets are mapped, never all 2^n masks,
     through two tables per generator of the images of the low and the high
     half of the labels.  With no generators the list comes back unchanged.
+
+    An entry may carry a third field, a listed subset, as the coproduct
+    kernel's entries carry their complement's listed form.  Its merged
+    entry then carries the representative of the merged orbit holding that
+    subset.  Complementing commutes with every permutation, so the
+    complement of each representative lies in the orbit whose
+    representative its entry carries.
     """
     if not generators:
         return orbits
@@ -163,7 +174,8 @@ def merge_orbits(
             prefixes.append((cls, row))
         else:
             singles |= cls
-    index = {a: i for i, (a, _) in enumerate(orbits)}
+    subsets = [entry[0] for entry in orbits]
+    index = {a: i for i, a in enumerate(subsets)}
     moves = []  # per generator, the index of each listed subset's image
     for g in generators:
         half = (len(g) + 1) // 2
@@ -172,7 +184,7 @@ def merge_orbits(
             table = low if e < half else high
             table += [t | 1 << f for t in table]
         low_mask = (1 << half) - 1
-        images = [low[a & low_mask] | high[a >> half] for a, _ in orbits]
+        images = [low[a & low_mask] | high[a >> half] for a in subsets]
         if prefixes:
             forms = []
             for image in images:
@@ -183,22 +195,26 @@ def merge_orbits(
             images = forms
         moves.append([index[image] for image in images])
     seen = [False] * len(orbits)
-    out = []
-    for i, (a, _) in enumerate(orbits):
+    first = [0] * len(orbits)  # per listed subset, its merged orbit's first one
+    merged = []  # per merged orbit, the index of its first subset and its weight
+    for i in range(len(orbits)):
         if seen[i]:
             continue
         seen[i] = True
         stack, weight = [i], 0
         while stack:
             j = stack.pop()
+            first[j] = i
             weight += orbits[j][1]
             for move in moves:
                 k = move[j]
                 if not seen[k]:
                     seen[k] = True
                     stack.append(k)
-        out.append((a, weight))
-    return out
+        merged.append((i, weight))
+    if len(orbits[0]) == 2:
+        return [(subsets[i], weight) for i, weight in merged]
+    return [(subsets[i], weight, subsets[first[index[orbits[i][2]]]]) for i, weight in merged]
 
 
 class _Fields(NamedTuple):

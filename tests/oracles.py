@@ -12,12 +12,14 @@ render term by term with equal factors grouped by key equality, and
 binary matroids come from GF(2) matrices, with U_{2,4} minors found by a
 scan over every contraction and restriction, automorphisms by a scan
 over all n! permutations, and graphic families by a union-find test of
-every edge subset.
+every edge subset.  The orbit of a subset under a group given by
+generators is closed by applying them until no new subset appears, with
+the twin transpositions found by a test of every pair.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import combinations, groupby, permutations
 from math import comb
 
 
@@ -78,6 +80,34 @@ def subset_orbits(group, n):
         if min(orbit) == a:
             out[a] = len(orbit)
     return out
+
+
+def twin_transpositions(masks, n):
+    """Every transposition of two elements that maps the family onto
+    itself, as a tuple perm with e -> perm[e]."""
+    fam = sorted(masks)
+    out = []
+    for e, f in combinations(range(n), 2):
+        perm = list(range(n))
+        perm[e], perm[f] = f, e
+        if sorted(permuted_family(fam, perm)) == fam:
+            out.append(tuple(perm))
+    return out
+
+
+def generated_orbit(a, generators):
+    """The orbit of the subset ``a`` under the group that the permutations
+    ``generators`` generate: a finite group's orbit is closed under the
+    generators alone, so they are applied until no new subset appears."""
+    orbit, stack = {a}, [a]
+    while stack:
+        s = stack.pop()
+        for perm in generators:
+            t = permuted_family([s], perm)[0]
+            if t not in orbit:
+                orbit.add(t)
+                stack.append(t)
+    return orbit
 
 
 def forest_family(vertex_count, edges):

@@ -167,6 +167,29 @@ def test_canonical_family_is_its_own_key(monkeypatch, catalog_reps):
             assert canonical_key(key.matroid()) is key
 
 
+def test_round_trip_computes_no_profiles(monkeypatch):
+    # a searched key's own family is found in the automorphism store before
+    # the bucket lookup computes its per-element profiles; a relabeled copy
+    # still needs them
+    m = ORACLE_INPUTS["K4 + parallel edge + self-loop"]
+    copy = m.relabel(list(reversed(range(m.n))))
+    _cold_canonical_memos(monkeypatch)
+    key = canonical_key(copy)
+    assert key.family != copy.independents
+    computed = []
+    profiles = canonical._profiles
+
+    def counted(n, family):
+        computed.append(family)
+        return profiles(n, family)
+
+    monkeypatch.setattr(canonical, "_profiles", counted)
+    assert canonical_key(key.matroid()) is key
+    assert computed == []
+    assert canonical_key(m) == key
+    assert computed == [m.independents]
+
+
 def test_cold_miss_stores_one_entry(monkeypatch):
     # the memo keeps the family asked for, not the canonical one besides
     m = ORACLE_INPUTS["M(K4)"]

@@ -158,6 +158,10 @@ GOLDEN_DIGESTS = [
     ("U38", "split --mode rd --json", "6b9959902740f30d58b281c0c5a3e95360bf5af72fd515d8573d981ee4f010cd"),
     ("U38", "antipode", "af69f59592d022efdf35c696131d0dd7b03e62ef85b8bc00d83c9ed78ce718a7"),
     ("U38", "antipode --json", "4cde7e654b208aa0747e2939aecf36dac1729a96c33748568a2aaf6e93c45d81"),
+    ("U38", "alpha", "ad1275680bb293b792f3d713d826e5cd8812874cd8877947275e97832f7f0363"),
+    ("U38", "alpha --json", "6256ff959da01c7f1fb0b11f7a957502d647a05fdcd468a20343814e86187cff"),
+    ("U38", "poly", "0dabbe8af022b23eded456171b5ffc9941a58bd756f346d4624caed7271557ab"),
+    ("U38", "poly --json", "b93574fe5530f7b9515e9680bf94bf5f6428d09795ca529e7c9c9706fa359700"),
     ("K5", "show", "bd30930f51c136bf454f9884f0ad79cd4a47fb8cc76dcdf3f26b4a793f828a6e"),
     ("K5", "show --json", "a8c7179cff5febae8082738f70d2f0f1bca4da95a41934b675cbbec8080cc036"),
     ("K5", "coproduct --mode rc", "d059e638131dcf06d10e2bed8122a6c641c275218a07e382bab2bea11687ee6b"),
@@ -170,6 +174,10 @@ GOLDEN_DIGESTS = [
     ("K5", "split --mode rd --json", "022f3b0ae91cd1bfc87e08b27c5e5ab70e8b6d028e676df7c8f4df92f447fcf7"),
     ("K5", "antipode", "f1b450255950890a02f301448e4ce2f050cc24ec3742369ad38de20d32f262c1"),
     ("K5", "antipode --json", "8bae094a956152499efac9a9a041c312d93c218022151756ab897e77c67ece1d"),
+    ("K5", "alpha", "7c880578f6c5a0f49929f84a68c32cedfa7c68f5f7eacb4aeb7112a26db6e937"),
+    ("K5", "alpha --json", "1e84a85ed31c4af7e7f61c2c2275548e7aed813cd3b68c6460e4163290b09abb"),
+    ("K5", "poly", "84f472c978d57eb49950744739628b79a92e5c9bff553e54937aa7b87f450bf4"),
+    ("K5", "poly --json", "1058dbf498b67c659bf9617d8abd87681b65253b39b924923b6f95f5425cd132"),
     ("multi", "show", "5c1d0c60b42db2801bd716a8611867c177d288bb4d515ff4c9ef660c271bfb41"),
     ("multi", "show --json", "dd8297dc612da93f144726a684f89e953c33f12820d2e0e089b7d664c49416a3"),
     ("multi", "coproduct --mode rc", "c084502ed61ed37924635137efdd1e7802576d4246434ee19b6ef9e4f3424185"),
@@ -182,6 +190,10 @@ GOLDEN_DIGESTS = [
     ("multi", "split --mode rd --json", "b201ae418f58e025318f81a7d9ff078d5b933ce2ada17bee1c6c868a91d8526f"),
     ("multi", "antipode", "734f77af846af81b999f8d81a563c84f2810381ca0f98e88124b7577aeb1ff8a"),
     ("multi", "antipode --json", "e11b6010ffcbe2e0ecba9b5b9fb66170cfb1e8990d3c4ebc130672bfa0e014e1"),
+    ("multi", "alpha", "08f42be4d40e43a23d60be8fe8ae8394ad9d2e177796ca3599376f4e2f231cb6"),
+    ("multi", "alpha --json", "e3118b2f8cc3c9aa932f46d76761093202a1713550dbba3a572bd177874680dc"),
+    ("multi", "poly", "719fd516bd6018b9421c91cb681197a73595a371b86d59201f6b23f6db7cbe6b"),
+    ("multi", "poly --json", "387d0385154e25fe4165c0257251f1b44ec2a1e34b1c72543843c97aa58cfc6b"),
 ]
 
 

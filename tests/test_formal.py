@@ -324,6 +324,19 @@ class TestModuleElement:
                         a, module_product(b, c)
                     )
 
+    def test_sum_of_products_matches_the_termwise_sum(self, catalog_reps):
+        xs = [ModuleElement.from_matroid(m) for m in catalog_reps if m.n <= 2]
+        xs += [xs[1] - 2 * xs[2], 3 * xs[3] + xs[0]]
+        triples = [(c, a, b) for c in (-2, 1, 3) for a in xs for b in xs[::2]]
+        termwise = ModuleElement.zero()
+        for c, a, b in triples:
+            termwise = termwise + c * module_product(a, b)
+        assert ModuleElement.sum_of_products(triples) == termwise
+        # terms that cancel are dropped once, at the end
+        a = ModuleElement.from_matroid(uniform(1, 1))
+        assert not ModuleElement.sum_of_products([(2, a, a), (-1, 2 * a, a)]).terms
+        assert ModuleElement.sum_of_products([]) == ModuleElement.zero()
+
     def test_zero_coefficients_dropped(self):
         a = ModuleElement.from_matroid(uniform(1, 1))
         assert not (a - a).terms

@@ -41,10 +41,13 @@ from matroid_hopf.matroid import class_orbits
 from oracles import (
     antipode_rd_terms,
     coproduct_terms,
+    generated_orbit,
     least_relabeled_family,
     ordered_set_partitions,
     tensor_codes,
+    twin_transpositions,
 )
+from test_canonical import ORACLE_INPUTS
 
 
 def mono(*matroids):
@@ -355,10 +358,12 @@ def test_orbits_cover_each_count_vector_once(m, sizes):
 
 
 def test_cold_coproduct_visits_one_subset_per_orbit(monkeypatch):
-    # U_{3,8} is one twin class: 9 representatives, whose legs are the 9
-    # prefixes and 9 suffixes of 0..7 with the empty and full sets shared;
-    # the full leg is the class, built before the walk (256 subsets and 256
-    # legs when every subset is visited)
+    # U_{3,8} is one twin class: 9 representatives, the prefixes of 0..7.
+    # The complement of prefix k lies in the orbit of prefix 8 - k, so the
+    # right legs are left legs of the same walk: the input plus its 8
+    # proper prefixes, the full prefix being the class, built before the
+    # walk (16 with each suffix built too, 256 subsets and 256 legs when
+    # every subset is visited)
     hopf._class_subset_sum.cache_clear()
     visited, built = [], []
     orbits, from_matroid = hopf.class_orbits, Monomial.from_matroid
@@ -376,7 +381,7 @@ def test_cold_coproduct_visits_one_subset_per_orbit(monkeypatch):
     monkeypatch.setattr(Monomial, "from_matroid", staticmethod(counted_legs))
     coproduct(CoproductMode.RD, uniform(3, 8))
     assert len(visited) == 9
-    assert len(built) == 16
+    assert len(built) == 9
 
 
 K4_EDGES = list(combinations(range(4), 2))
@@ -467,17 +472,21 @@ class TestAutomorphismOrbits:
         # S_4 permutes the six edges of K4, which has no twins: 11 orbits of
         # edge sets (the graphs on four labeled vertices up to relabeling)
         # where the twin orbits are all 64 subsets, and one orbit of single
-        # edges, of weight 6
+        # edges, of weight 6.  Each orbit carries the representative of its
+        # complement's orbit, itself a walked representative; a single
+        # deletion's complement is the deleted edge
         k4 = graphic(4, K4_EDGES)
         _cold_memos(monkeypatch)
         walked = _walked(monkeypatch)
         for mode in CoproductMode:
             t = coproduct(mode, k4)
             assert len(walked[-1]) == 11
-            assert sum(w for _, w in walked[-1]) == 64
+            assert sum(w for _, w, _ in walked[-1]) == 64
+            reps = {a for a, _, _ in walked[-1]}
+            assert {c for _, _, c in walked[-1]} == reps
             assert tensor_codes(t) == coproduct_terms(k4.independents, 6, mode.value, lambda a: True)
         t = single_deletion_terms(mono(k4))
-        assert [w for _, w in walked[-1]] == [6]
+        assert [(w, a | c) for a, w, c in walked[-1]] == [(6, k4.full_mask)]
         want = coproduct_terms(k4.independents, 6, "rd", _one_element_complement(6))
         assert tensor_codes(t) == want
 
@@ -494,6 +503,42 @@ class TestAutomorphismOrbits:
             walked.clear()
         want = coproduct_terms(m.independents, 7, "rd", _one_element_complement(7))
         assert tensor_codes(single_deletion_terms(mono(m))) == want
+
+    def test_carried_complements_lie_in_their_orbits(self, monkeypatch, catalog_reps):
+        # every walked orbit (A, w, C) of a coproduct carries in C the
+        # representative of the orbit of E - A, under the group of the
+        # stored generators and the twin transpositions, closed by brute
+        # force; a single deletion carries the deleted element itself
+        cases = catalog_reps + list(ORACLE_INPUTS.values())
+        cases += [uniform(3, 8), graphic(4, K4_EDGES + [(0, 0)])]
+        _cold_memos(monkeypatch)
+        walks = []
+        orbit_sum = hopf._orbit_sum
+
+        def recorded(mode, cls, matroid, orbits):
+            walks.append((cls, matroid, orbits))
+            return orbit_sum(mode, cls, matroid, orbits)
+
+        monkeypatch.setattr(hopf, "_orbit_sum", recorded)
+        for m in cases:
+            for mode in CoproductMode:
+                coproduct(mode, m)
+        merged = 0
+        for cls, matroid, orbits in walks:
+            generators = hopf._automorphisms(cls)
+            generators += twin_transpositions(matroid.independents, matroid.n)
+            reps = {a for a, _, _ in orbits}
+            for a, _, c in orbits:
+                assert c in reps
+                assert c in generated_orbit(matroid.full_mask ^ a, generators)
+            merged += len(orbits) < len(class_orbits(matroid.twin_classes()))
+        assert len(walks) == 2 * len(cases) and merged >= 10
+        walks.clear()
+        for m in cases:
+            single_deletion_terms(mono(m))
+        for _, matroid, orbits in walks:
+            for a, _, c in orbits:
+                assert c.bit_count() == 1 and a | c == matroid.full_mask
 
     def test_sums_do_not_depend_on_the_generators(self, monkeypatch, catalog_reps):
         # the sum over any subgroup of Aut(M) is exact: emptying the
