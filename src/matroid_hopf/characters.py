@@ -4,7 +4,9 @@ Linear functionals send monomials to exact polynomials in x, y, s.  The two
 infinitesimal characters detect a single loop and a single coloop; scaled
 combinations of them exponentiate (by a recursion on the degree) to genuine
 characters, and a two-factor convolution of such exponentials recovers the
-subset-sum polynomial invariant up to a power of s.
+subset-sum polynomial invariant up to a power of s.  That invariant,
+``poly_P``, depends on a matroid only through its numbers of non-loops and
+loops, so it is computed and memoized once per pair of counts.
 
 A functional records its support when its factory fixes it.  The
 exponential of one supported on one-element classes reads only the
@@ -238,19 +240,30 @@ def poly_P(matroid: Matroid) -> Polynomial:
     """Subset sum of (x-1)^(c(E)-c(A)) (y-1)^(l(A)) over all subsets A.
 
     A term depends on A only through its counts c(A) of non-loops and l(A)
-    of loops, so the sum runs over ``class_orbits`` of the non-loop and the
-    loop class: one subset per pair (c(A), l(A)), weighted by the
-    C(c(E), c(A)) C(l(E), l(A)) subsets it stands for.
+    of loops, so the sum depends on M only through (c(E), l(E)): it is
+    computed once per pair of counts, by ``_counts_poly``, and every
+    matroid with those counts shares that polynomial.
+    """
+    check_size(matroid.n)
+    return _counts_poly(*matroid.element_counts())
+
+
+@cache
+def _counts_poly(c_total: int, l_total: int) -> Polynomial:
+    """P of any matroid with c_total non-loops and l_total loops.
+
+    The sum runs over ``class_orbits`` of the non-loop and the loop class,
+    here the first c_total elements and the l_total after them: one subset
+    per pair (c(A), l(A)), weighted by the C(c(E), c(A)) C(l(E), l(A))
+    subsets it stands for.
 
     The expansion reads the signed coefficients of (t-1)^k from precomputed
     rows.  An orbit of weight w with a = c(E)-c(A) and l = l(A) adds w times
     row a to the x-row of l; each x-row times row l gives integer
     coefficients of x^i y^j, and one polynomial is built from them.
     """
-    check_size(matroid.n)
-    loops = matroid.loops()
-    nonloops = matroid.full_mask & ~loops
-    c_total = nonloops.bit_count()
+    nonloops = (1 << c_total) - 1
+    loops = ((1 << l_total) - 1) << c_total
     x_rows: dict[int, list[int]] = {}
     for a, w in class_orbits((nonloops, loops)):
         x_row = x_rows.setdefault((a & loops).bit_count(), [0] * (c_total + 1))

@@ -24,7 +24,7 @@ permutation of 0..n-1.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -110,6 +110,16 @@ def submasks(mask: int):
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+@cache
+def _submask_table(mask: int) -> tuple[int, ...]:
+    """``tuple(submasks(mask))``, built once per mask.
+
+    ``Matroid._minor`` reads it.  On ground sets of at most MAX_GROUND_SET
+    elements it holds at most 2^10 masks and 3^10 submasks in all.
+    """
+    return tuple(submasks(mask))
 
 
 def class_orbits(classes: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -326,7 +336,8 @@ class Matroid(_Fields):
 
         ``base`` is independent and disjoint from ``mask``: a subset s of
         ``mask`` is independent in the minor iff s | base is independent in
-        M.  submasks(mask) ascends, so the i-th one relabels to i.  With
+        M.  submasks(mask) ascends, so the i-th one relabels to i; they are
+        read from ``_submask_table``, built once per mask.  With
         ``base = 0`` this is the restriction M|mask.  Every minor is built
         here: ``restrict`` and ``delete`` with ``base = 0``, ``contract`` and
         the block minors of ``Monomial.from_matroid`` with an independent
@@ -337,7 +348,7 @@ class Matroid(_Fields):
         iset = self._iset
         # a list first: tuple() of a generator grows and then shrinks its
         # result, which raised the peak RSS of a warm query stream by 0.6 MB
-        fam = [i for i, s in enumerate(submasks(mask)) if (s | base) in iset]
+        fam = [i for i, s in enumerate(_submask_table(mask)) if (s | base) in iset]
         return Matroid(mask.bit_count(), tuple(fam))
 
     def maximal_independent_subsets(self, mask: int) -> tuple[int, ...]:

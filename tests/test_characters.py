@@ -26,8 +26,9 @@ from matroid_hopf import (
     poly_P_recursion_check,
     uniform,
 )
-from matroid_hopf.characters import alpha_of_monomial, indicator
+from matroid_hopf.characters import _counts_poly, alpha_of_monomial, indicator
 from matroid_hopf.formal import ONE, S, X, Y, ZERO
+from matroid_hopf.matroid import MAX_GROUND_SET
 
 from oracles import poly_P_terms
 
@@ -278,6 +279,41 @@ class TestPolyP:
         extremes = [p.values[0] for p in EXTREMES]
         for m in oracle_cases + extremes:
             assert poly_P(m).eval(x=2, y=2) == 2**m.n
+
+
+class TestCountsMemo:
+    """poly_P is memoized by (c(E), l(E)) alone."""
+
+    def test_every_pair_of_counts_matches_oracle(self):
+        # loops first, so each input labels its elements unlike the memo's
+        # own walk, which puts the non-loops first
+        _counts_poly.cache_clear()
+        pairs = [
+            (c, l) for c in range(MAX_GROUND_SET + 1) for l in range(MAX_GROUND_SET + 1 - c)
+        ]
+        assert len(pairs) == 66
+        for c, l in pairs:
+            m = uniform(0, l).direct_sum(uniform((c + 1) // 2, c))
+            assert m.element_counts() == (c, l)
+            want = {(i, j, 0): k for (i, j), k in poly_P_terms(m.independents, m.n).items()}
+            got = poly_P(m).terms
+            assert got == want
+            assert all(type(k) is int for k in got.values())
+        assert _counts_poly.cache_info().currsize == 66
+
+    def test_equal_counts_share_one_entry(self):
+        # U_{2,4} and U_{3,4} are not isomorphic, but both have four non-loops
+        _counts_poly.cache_clear()
+        first = poly_P(uniform(2, 4))
+        assert poly_P(uniform(3, 4)) is first
+        info = _counts_poly.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+
+    def test_oversized_input_adds_no_entry(self):
+        _counts_poly.cache_clear()
+        with pytest.raises(GroundSetTooLarge):
+            poly_P(Matroid(40, (0,)))
+        assert _counts_poly.cache_info().currsize == 0
 
 
 class TestConvolutionIdentity:

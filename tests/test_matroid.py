@@ -28,7 +28,7 @@ from matroid_hopf import (
     uniform,
     validate,
 )
-from matroid_hopf.matroid import MAX_GROUND_SET, class_orbits, merge_orbits
+from matroid_hopf.matroid import MAX_GROUND_SET, _submask_table, class_orbits, merge_orbits
 
 from oracles import (
     component_blocks,
@@ -53,6 +53,17 @@ def test_mask_helpers_reject_negative_masks():
             elements_of(mask)
         with pytest.raises(ValueError, match=f"mask {mask} is negative"):
             next(submasks(mask))
+
+
+def test_submask_table_lists_submasks_in_order():
+    # Matroid._minor relabels the i-th entry to i, so the table must hold
+    # submasks' ascending order for every mask a minor can be built on
+    _submask_table.cache_clear()
+    try:
+        for mask in range(1 << MAX_GROUND_SET):
+            assert _submask_table(mask) == tuple(submasks(mask))
+    finally:
+        _submask_table.cache_clear()
 
 
 class TestValidate:
