@@ -155,7 +155,9 @@ def search_automorphisms(key: IsoKey) -> list[tuple[int, ...]]:
     With the twin transpositions they have generated all of Aut(M) on
     every class checked (McKay's result for a search that prunes only by
     the automorphisms it found), but callers rely only on each one being
-    an automorphism.
+    an automorphism that sends the j-th element of each twin class of
+    ``key.matroid()`` to the j-th element of its image class (see
+    ``_min_relabeling``, Twins), as ``matroid.merge_orbits`` requires.
     """
     searched = _automorphism_cache.get(key)
     return [] if searched is None else searched[1]
@@ -264,7 +266,12 @@ def _min_relabeling(
       below e onto those below f with equal encodings.  Such pairs form
       classes (products of automorphisms are automorphisms): parallel,
       series, loop and coloop classes, among others.  One unplaced element
-      per class is branched on.
+      per class is branched on, the least, so every leaf places each class
+      in ascending order.  A tied leaf's automorphism pairs the two leaves'
+      placements label by label, so it sends the j-th element of a class
+      to the j-th element of its image class, and ``label_of``, ascending
+      on each class of best's leaf, keeps that order on the canonical
+      labels: ``matroid.merge_orbits`` relies on it.
     * Orbits.  A leaf whose encoding equals best's remaps the family onto
       the same sorted family as best's leaf, so e -> best_placed[label of
       e], its labeling followed by the inverse of best's, is an

@@ -22,7 +22,9 @@ loop and coloop classes, all of U_{r,n}) together with the automorphisms
 that the canonical search met (``canonical.search_automorphisms``), with
 the orbit's size as its weight.  ``matroid.class_orbits`` lists the twin
 orbits, for ``characters.poly_P`` too, and ``matroid.merge_orbits`` joins
-those that the search's automorphisms map onto one another.  An
+those that the search's automorphisms map onto one another.  Each of them
+sends the j-th element of a twin class to the j-th element of its image
+class, so it maps a listed representative straight onto another.  An
 automorphism carries A onto an isomorphic pair of legs, so every subset of
 an orbit adds the same term; the sum over any subgroup of Aut(M) is exact,
 so a class whose automorphisms are not known gets the same sum from its
@@ -86,17 +88,18 @@ def _class_subset_sum(mode: CoproductMode, cls: Monomial) -> TensorElement:
     if not isinstance(mode, CoproductMode):
         raise ValueError(f"mode must be a CoproductMode, got {mode!r}")
     matroid = cls.matroid()
-    classes = matroid.twin_classes()
-    orbits = class_orbits(classes)
+    orbits = class_orbits(matroid.twin_classes())
     # the twin classes cover E, so orbit i's complement is the N - 1 - i'th
     orbits = [(a, w, c) for (a, w), (c, _) in zip(orbits, reversed(orbits))]
-    orbits = merge_orbits(orbits, classes, _automorphisms(cls))
+    orbits = merge_orbits(orbits, _automorphisms(cls))
     return _orbit_sum(mode, cls, matroid, orbits)
 
 
 def _automorphisms(cls: Monomial) -> list[list[int]]:
     """The search's automorphisms of each factor of ``cls``, each acting on
-    that factor's block of ``cls.matroid()`` and fixing the other blocks."""
+    that factor's block of ``cls.matroid()`` and fixing the other blocks.
+    The offset keeps the order within twin classes, and a twin class that
+    spans factors holds loops or coloops, which every generator fixes."""
     out = []
     offset = 0
     for key in cls.factors:
@@ -144,13 +147,13 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
     For a class, b = M|e is a single loop or coloop and a = M\\e.  These
     are the kernel's orbits with a one-element complement: one per twin
     class T, whose last element is deleted, with weight |T|, merged by the
-    same automorphisms as the kernel's, since E - g(last(T)) has the form
-    E - last(T') for the twin class T' holding g(last(T)).  The kernel's
-    walk sums over those orbits alone, each carrying its deleted element
-    as the complement, so every right leg M|e is built.  For a product
-    the legwise product puts the one element in exactly one factor: each
-    factor position contributes the factor's terms with the other factors
-    multiplied onto the left leg.
+    same automorphisms as the kernel's: g(last(T)) is last(T') for the
+    twin class T' holding it, so g maps E - last(T) onto E - last(T').
+    The kernel's walk sums over those orbits alone, each carrying its
+    deleted element as the complement, so every right leg M|e is built.
+    For a product the legwise product puts the one element in exactly one
+    factor: each factor position contributes the factor's terms with the
+    other factors multiplied onto the left leg.
     """
     if len(m.factors) != 1:
         terms: dict[tuple[Monomial, ...], int] = {}
@@ -162,9 +165,8 @@ def single_deletion_terms(m: Monomial) -> TensorElement:
         return TensorElement(2, terms)
     matroid = m.matroid()
     full = matroid.full_mask
-    classes = matroid.twin_classes()
-    orbits = [(full ^ (1 << (t.bit_length() - 1)), t.bit_count()) for t in classes]
-    orbits = merge_orbits(orbits, classes, _automorphisms(m))
+    orbits = [(full ^ (1 << (t.bit_length() - 1)), t.bit_count()) for t in matroid.twin_classes()]
+    orbits = merge_orbits(orbits, _automorphisms(m))
     return _orbit_sum(CoproductMode.RD, m, matroid, [(a, w, full ^ a) for a, w in orbits])
 
 

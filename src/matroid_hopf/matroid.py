@@ -145,24 +145,24 @@ def class_orbits(classes: tuple[int, ...]) -> list[tuple[int, int]]:
     return orbits
 
 
-def merge_orbits(
-    orbits: list[tuple[int, ...]], classes: tuple[int, ...], generators
-) -> list[tuple[int, ...]]:
-    """Merge the (subset, weight) orbits of the symmetric groups on the
-    disjoint masks ``classes`` into the orbits of the group that they and
-    the permutations ``generators`` (e -> g[e]) generate together.
+def merge_orbits(orbits: list[tuple[int, ...]], generators) -> list[tuple[int, ...]]:
+    """Merge the (subset, weight) orbits of the symmetric groups on
+    disjoint classes T_i into the orbits of the group that they and the
+    permutations ``generators`` (e -> g[e]) generate together.
 
     Each listed subset takes the first k_i elements of each class T_i, as
-    in ``class_orbits``.  Every generator maps classes onto classes, as an
-    automorphism maps twin classes onto twin classes, so it maps the orbit
-    of A onto the orbit of g(A), listed under its own such form: the first
-    |g(A) & T_i| elements of each T_i.  The list must hold that form for
-    the image of every listed subset, so each generator permutes the list.
-    A walk along those permutations joins the entries of each merged
-    orbit: the first listed subset stays as its representative, and the
-    weights add up.  Only listed subsets are mapped, never all 2^n masks,
-    through two tables per generator of the images of the low and the high
-    half of the labels.  With no generators the list comes back unchanged.
+    in ``class_orbits``.  Each generator must map every class onto a class,
+    its j-th element onto the j-th element of the image class, as the
+    automorphisms of ``canonical.search_automorphisms`` do on twin
+    classes.  It then maps each listed subset A onto the same form of
+    g(A), the listed subset of its orbit, so each generator permutes the
+    list; a generator that breaks the rule raises KeyError at the lookup
+    of an image that is not listed.  A walk along those permutations joins
+    the entries of each merged orbit: the first listed subset stays as its
+    representative, and the weights add up.  Only listed subsets are
+    mapped, never all 2^n masks, through two tables per generator of the
+    images of the low and the high half of the labels.  With no generators
+    the list comes back unchanged.
 
     An entry may carry a third field, a listed subset, as the coproduct
     kernel's entries carry their complement's listed form.  Its merged
@@ -173,17 +173,6 @@ def merge_orbits(
     """
     if not generators:
         return orbits
-    prefixes = []  # per class of two or more elements, its prefixes by size
-    singles = 0  # the union of the one-element classes
-    for cls in classes:
-        if cls & (cls - 1):
-            row, prefix = [0], 0
-            for e in elements_of(cls):
-                prefix |= 1 << e
-                row.append(prefix)
-            prefixes.append((cls, row))
-        else:
-            singles |= cls
     subsets = [entry[0] for entry in orbits]
     index = {a: i for i, a in enumerate(subsets)}
     moves = []  # per generator, the index of each listed subset's image
@@ -194,16 +183,7 @@ def merge_orbits(
             table = low if e < half else high
             table += [t | 1 << f for t in table]
         low_mask = (1 << half) - 1
-        images = [low[a & low_mask] | high[a >> half] for a in subsets]
-        if prefixes:
-            forms = []
-            for image in images:
-                form = image & singles
-                for cls, row in prefixes:
-                    form |= row[(image & cls).bit_count()]
-                forms.append(form)
-            images = forms
-        moves.append([index[image] for image in images])
+        moves.append([index[low[a & low_mask] | high[a >> half]] for a in subsets])
     seen = [False] * len(orbits)
     first = [0] * len(orbits)  # per listed subset, its merged orbit's first one
     merged = []  # per merged orbit, the index of its first subset and its weight

@@ -18,9 +18,10 @@ from matroid_hopf import (
     uniform,
     validate,
 )
-from matroid_hopf import canonical, hopf
+from matroid_hopf import canonical, hopf, verify
 from matroid_hopf.canonical import _min_relabeling, search_automorphisms
-from matroid_hopf.matroid import class_orbits, merge_orbits
+from matroid_hopf.matroid import class_orbits, elements_of, merge_orbits
+from matroid_hopf.verify import CheckResult
 
 from oracles import (
     automorphisms,
@@ -404,6 +405,17 @@ def test_cold_coproduct_searches_each_class_once(monkeypatch):
     assert len(searched) == len(classes) == 14
 
 
+def _connected_binary_classes():
+    """One matroid per connected binary class on 5 or 6 elements."""
+    binary = {}
+    for n in (5, 6):
+        for family in binary_matroid_families(n):
+            m = Matroid(n, tuple(family))
+            if m.is_connected():
+                binary.setdefault(canonical_key(m), m)
+    return list(binary.values())
+
+
 def test_search_automorphisms_give_the_subset_orbits(monkeypatch, catalog_reps):
     # with the twin transpositions, the automorphisms a cold search returns
     # generate Aut(M): the merged orbits are the brute-force orbits of the
@@ -411,25 +423,92 @@ def test_search_automorphisms_give_the_subset_orbits(monkeypatch, catalog_reps):
     # and every connected binary class with n = 5 or 6
     cases = [m for m in catalog_reps if m.n and m.is_connected()]
     assert len(cases) == 9
-    binary = {}
-    for n in (5, 6):
-        for family in binary_matroid_families(n):
-            m = Matroid(n, tuple(family))
-            if m.is_connected():
-                binary.setdefault(canonical_key(m), m)
+    binary = _connected_binary_classes()
     assert len(binary) == 19
-    for m in cases + list(binary.values()):
+    for m in cases + binary:
         _cold_canonical_memos(monkeypatch)
         key = canonical_key(m)
         rep = key.matroid()
         group = automorphisms(rep.independents, rep.n)
         generators = search_automorphisms(key)
         assert set(generators) <= set(group)
-        classes = rep.twin_classes()
-        merged = merge_orbits(class_orbits(classes), classes, generators)
+        merged = merge_orbits(class_orbits(rep.twin_classes()), generators)
         least = {min(permuted_family([a], g)[0] for g in group): w for a, w in merged}
         assert len(least) == len(merged)
         assert least == subset_orbits(group, rep.n)
+
+
+def _keeps_twin_order(g, classes):
+    """True iff g maps each class onto a class, j-th element to j-th."""
+    for cls in classes:
+        image = [g[e] for e in elements_of(cls)]
+        if image != sorted(image) or sum(1 << f for f in image) not in classes:
+            return False
+    return True
+
+
+def test_search_generators_keep_the_order_of_twin_classes(monkeypatch, catalog_reps):
+    # merge_orbits looks each generator's image of a listed subset up as it
+    # is: every generator the search stores, and every one hopf lifts onto
+    # a direct sum, must send the j-th twin of a class to the j-th of its
+    # image class
+    cases = [m.relabel(list(reversed(range(m.n)))) for m in catalog_reps]
+    cases += list(ORACLE_INPUTS.values()) + _connected_binary_classes()
+    extra = [uniform(0, 1), uniform(1, 1), uniform(1, 2)]
+    stored = lifted = 0
+    for m in cases:
+        _cold_canonical_memos(monkeypatch)
+        key = canonical_key(m)
+        classes = key.matroid().twin_classes()
+        for g in search_automorphisms(key):
+            assert _keeps_twin_order(g, classes)
+            stored += 1
+        for u in extra:
+            cls = Monomial.from_matroid(m.direct_sum(u))
+            classes = cls.matroid().twin_classes()
+            for g in hopf._automorphisms(cls):
+                assert _keeps_twin_order(g, classes)
+                lifted += 1
+    # 22 stored and 63 lifted generators when this test was written
+    assert stored and lifted
+
+
+# classes whose search stores generators (3 and 2): at n <= 4 almost every
+# automorphism is a product of twin transpositions, which it never stores
+STORING = [
+    ORACLE_INPUTS["M(K4)"],
+    graphic(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]),
+]
+
+
+def test_canonical_oracle_checks_the_stored_generators(monkeypatch):
+    checked = []
+
+    def counted(key):
+        generators = search_automorphisms(key)
+        checked.extend(generators)
+        return generators
+
+    _cold_canonical_memos(monkeypatch)
+    monkeypatch.setattr(verify, "search_automorphisms", counted)
+    row = verify.check_canonical_oracle(STORING)
+    assert row == CheckResult("canonical-oracle", True, "2 classes, all relabelings")
+    assert len(checked) >= 5
+
+
+def test_canonical_oracle_catches_generators_off_the_canonical_labels(monkeypatch):
+    # the search's generators conjugated by a rotation of the labels, which
+    # is no automorphism of M(K4)'s canonical family
+    def conjugated(n, family):
+        least, generators = _min_relabeling(n, family)
+        rotate = [(e + 1) % n for e in range(n)]
+        back = [(e - 1) % n for e in range(n)]
+        return least, [tuple(back[g[rotate[e]]] for e in range(n)) for g in generators]
+
+    _cold_canonical_memos(monkeypatch)
+    monkeypatch.setattr(canonical, "_min_relabeling", conjugated)
+    row = verify.check_canonical_oracle(STORING)
+    assert row == CheckResult("canonical-oracle", False, f"automorphism fails on {STORING[0]}")
 
 
 def test_uniform_and_unsearched_keys_have_no_generators(monkeypatch):

@@ -513,24 +513,30 @@ class TestMergeOrbits:
     CLASSES = (0b0011, 0b1100)
     SWAPPED = [(0b0000, 1), (0b0100, 4), (0b1100, 2), (0b0101, 4), (0b1101, 4), (0b1111, 1)]
 
-    @pytest.mark.parametrize("generator", [(2, 3, 0, 1), (3, 2, 1, 0)])
-    def test_images_take_their_twin_form(self, generator):
-        # (3, 2, 1, 0) sends the first element of each class to the last
-        # of the other, so its images are listed under their twin form
-        merged = merge_orbits(class_orbits(self.CLASSES), self.CLASSES, [generator])
+    def test_images_take_their_twin_form(self):
+        # the generator sends the j-th element of each class to the j-th of
+        # the other, so each listed subset's image is listed
+        merged = merge_orbits(class_orbits(self.CLASSES), [(2, 3, 0, 1)])
         assert merged == self.SWAPPED
 
+    def test_reversed_classes_are_not_listed(self):
+        # (3, 2, 1, 0) sends the first element of each class to the last of
+        # the other, which no search generator does: {0} maps onto {3},
+        # which is not listed
+        with pytest.raises(KeyError):
+            merge_orbits(class_orbits(self.CLASSES), [(3, 2, 1, 0)])
+
     def test_twin_transpositions_merge_nothing(self):
+        # without generators the twin orbits come back as they are
         orbits = class_orbits(self.CLASSES)
-        assert merge_orbits(orbits, self.CLASSES, []) is orbits
-        assert merge_orbits(orbits, self.CLASSES, [(1, 0, 3, 2)]) == orbits
+        assert merge_orbits(orbits, []) is orbits
 
     def test_single_deletions_of_a_twin_free_cycle(self):
         # the rotation of a 5-cycle's edges joins the five single deletions
         # E - e, one-element classes, into one orbit of weight 5
-        full, classes = 0b11111, tuple(1 << e for e in range(5))
-        orbits = [(full ^ t, 1) for t in classes]
-        assert merge_orbits(orbits, classes, [(1, 2, 3, 4, 0)]) == [(0b11110, 5)]
+        full = 0b11111
+        orbits = [(full ^ 1 << e, 1) for e in range(5)]
+        assert merge_orbits(orbits, [(1, 2, 3, 4, 0)]) == [(0b11110, 5)]
 
 
 def _in_labels(blocks, ground):
